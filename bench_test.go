@@ -157,20 +157,6 @@ func BenchmarkAccessBound(b *testing.B) {
 	}
 }
 
-// BenchmarkExplorerMemoization is the DESIGN.md ablation: configuration
-// deduplication on versus off, on a protocol with heavy path convergence.
-func BenchmarkExplorerMemoization(b *testing.B) {
-	for _, memo := range []bool{false, true} {
-		b.Run(fmt.Sprintf("memoize=%v", memo), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := explore.Consensus(consensus.CAS(4), explore.Options{Memoize: memo}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkExplorerParallel sweeps Options.Parallelism on a protocol with
 // many proposal-vector trees (CAS(4): 16 roots). On multi-core machines
 // the trees spread across workers; the report is identical at every
@@ -183,7 +169,7 @@ func BenchmarkExplorerParallel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				report, err := explore.Consensus(consensus.CAS(4), explore.Options{Memoize: true, Parallelism: workers})
+				report, err := explore.Consensus(consensus.CAS(4), explore.Options{Parallelism: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -216,7 +202,7 @@ func BenchmarkConsensusSymmetry(b *testing.B) {
 					im := mk(procs)
 					var nodes int64
 					for i := 0; i < b.N; i++ {
-						report, err := explore.Consensus(im, explore.Options{Memoize: true, Symmetry: mode})
+						report, err := explore.Consensus(im, explore.Options{Symmetry: mode})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -251,7 +237,7 @@ func BenchmarkConsensusFaults(b *testing.B) {
 			im := c.mk()
 			var nodes int64
 			for i := 0; i < b.N; i++ {
-				report, err := explore.Consensus(im, explore.Options{Memoize: true, Faults: c.model})
+				report, err := explore.Consensus(im, explore.Options{Faults: c.model})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -283,7 +269,7 @@ func BenchmarkConsensusAutosave(b *testing.B) {
 	for _, iv := range intervals {
 		b.Run(iv.name, func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "cp")
-			opts := explore.Options{Memoize: true}
+			opts := explore.Options{}
 			if iv.every > 0 {
 				opts.CheckpointEvery = iv.every
 				opts.OnCheckpoint = func(cp *explore.Checkpoint) {
@@ -483,7 +469,7 @@ func BenchmarkMultiValued(b *testing.B) {
 	for _, k := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("check/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				report, err := explore.ConsensusK(multivalue.FromBinary(2, k), k, explore.Options{Memoize: true})
+				report, err := explore.ConsensusK(multivalue.FromBinary(2, k), k, explore.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -495,7 +481,7 @@ func BenchmarkMultiValued(b *testing.B) {
 	}
 	b.Run("eliminate/k=4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.EliminateRegisters(multivalue.FromBinarySRSW(4), explore.Options{Memoize: true}, 3); err != nil {
+			if _, err := core.EliminateRegisters(multivalue.FromBinarySRSW(4), explore.Options{}, 3); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -140,7 +140,7 @@ func TestCacheParityAllKinds(t *testing.T) {
 // so it must be served from the entry its unpermuted twin stored.
 func TestCachePermutedImplementationHits(t *testing.T) {
 	cache := openCache(t, t.TempDir())
-	opts := waitfree.ExploreOptions{Memoize: true}
+	opts := waitfree.ExploreOptions{}
 
 	cold, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
@@ -183,7 +183,7 @@ func TestCachePartialAndResumedBypass(t *testing.T) {
 		return waitfree.Request{
 			Kind:           waitfree.KindConsensus,
 			Implementation: waitfree.CASRegister3Consensus(),
-			Explore:        waitfree.ExploreOptions{Memoize: true, Parallelism: 1},
+			Explore:        waitfree.ExploreOptions{Parallelism: 1},
 			Cache:          cache,
 		}
 	}
@@ -242,7 +242,7 @@ func TestCacheMemoBudgetUncacheable(t *testing.T) {
 	rep, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
 		Implementation: waitfree.TAS2Consensus(),
-		Explore:        waitfree.ExploreOptions{Memoize: true, MemoBudget: 8},
+		Explore:        waitfree.ExploreOptions{MemoBudget: 8},
 		Cache:          openCache(t, t.TempDir()),
 	})
 	if err != nil {
@@ -331,8 +331,7 @@ func BenchmarkCheckCached(b *testing.B) {
 			Kind:           waitfree.KindConsensus,
 			Implementation: waitfree.CASConsensus(4),
 			Explore: waitfree.ExploreOptions{
-				Memoize: true,
-				Faults:  faults.Model{MaxCrashes: 4},
+				Faults: faults.Model{MaxCrashes: 4},
 			},
 			Cache: cache,
 		}

@@ -27,7 +27,6 @@ func chaosRequest(fs fsx.FS, spillDir string) waitfree.Request {
 		Kind:           waitfree.KindConsensus,
 		Implementation: waitfree.Queue2Consensus(),
 		Explore: waitfree.ExploreOptions{
-			Memoize:      true,
 			MemoBudget:   4,
 			MemoSpillDir: spillDir,
 			Parallelism:  1,

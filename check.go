@@ -62,8 +62,8 @@ type Request struct {
 	Implementation *Implementation
 	// Values is the proposal-value range k for KindConsensus (0 = 2).
 	Values int
-	// Explore configures every exploration the pipeline runs: memoization,
-	// depth budget, parallelism, symmetry reduction (Explore.Symmetry
+	// Explore configures every exploration the pipeline runs: depth
+	// budget, memo budget, parallelism, symmetry reduction (Explore.Symmetry
 	// explores one tree per process-permutation orbit when the
 	// implementation qualifies, with an identical report), the fault model
 	// (Explore.Faults enumerates crash schedules exhaustively), and the

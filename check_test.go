@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"waitfree"
+	"waitfree/internal/testgate"
 )
 
 // TestCheckConsensus covers the consensus pipeline of the unified API on a
@@ -218,12 +219,17 @@ func TestCheckCancellation(t *testing.T) {
 	}
 	// Deadline expiry mid-run degrades KindConsensus to a partial-coverage
 	// report (nil error) with the resumable checkpoint lifted to the top
-	// level — the durable-runs contract, not the Ctrl-C contract.
+	// level — the durable-runs contract, not the Ctrl-C contract. A gate
+	// holds the single worker at the first tree's root until the deadline
+	// has expired.
 	dctx, dcancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer dcancel()
+	gate := testgate.New(1)
+	gate.ReleaseOn(dctx.Done())
 	rep, err := waitfree.Check(dctx, waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: waitfree.CASRegister3Consensus(),
+		Implementation: gate.Wrap(waitfree.CASRegister3Consensus()),
+		Explore:        waitfree.ExploreOptions{Parallelism: 1},
 	})
 	if err != nil {
 		t.Fatalf("deadline: err = %v, want nil (partial report)", err)
@@ -247,7 +253,7 @@ func TestCheckPartialBudget(t *testing.T) {
 	req := waitfree.Request{
 		Kind:           waitfree.KindConsensus,
 		Implementation: waitfree.CASRegister3Consensus(),
-		Explore:        waitfree.ExploreOptions{Memoize: true, Parallelism: 1, MaxNodes: 500},
+		Explore:        waitfree.ExploreOptions{Parallelism: 1, MaxNodes: 500},
 	}
 	rep, err := waitfree.Check(context.Background(), req)
 	if err != nil {
@@ -272,7 +278,7 @@ func TestCheckPartialBudget(t *testing.T) {
 	bound := waitfree.Request{
 		Kind:           waitfree.KindBound,
 		Implementation: waitfree.CASRegister3Consensus(),
-		Explore:        waitfree.ExploreOptions{Memoize: true, Parallelism: 1, MaxNodes: 500},
+		Explore:        waitfree.ExploreOptions{Parallelism: 1, MaxNodes: 500},
 	}
 	brep, err := waitfree.Check(context.Background(), bound)
 	if !errors.Is(err, waitfree.ErrInconclusive) {

@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	eliminate [-protocol tas|queue|stack|faa|swap|noisysticky] [-memoize]
-//	          [-parallel N] [-timeout D] [-progress D] [-json]
+//	eliminate [-protocol tas|queue|stack|faa|swap|noisysticky] [-parallel N]
+//	          [-timeout D] [-progress D] [-json]
 //	          [-symmetry MODE] [-max-nodes N] [-stall-after D] [-cache DIR]
 //
 // The pipeline's explorations honor the long-run guards: -max-nodes,
@@ -57,13 +57,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("eliminate", flag.ContinueOnError)
 	name := fs.String("protocol", "tas", "protocol to transform: "+eliminableNames())
-	memoize := fs.Bool("memoize", false, "memoize configurations during exploration")
+	fs.Bool("memoize", true, "accepted for compatibility; exploration always memoizes")
 	common := cliutil.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	exOpts, err := common.Supervise(common.Options(explore.Options{Memoize: *memoize}))
+	exOpts, err := common.Supervise(common.Options(explore.Options{}))
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	explore [-protocol NAME] [-procs N] [-memoize] [-parallel N]
+//	explore [-protocol NAME] [-procs N] [-parallel N]
 //	        [-timeout D] [-progress D] [-json] [-symmetry MODE]
 //	        [-faults] [-max-crashes N] [-fault-mode MODE]
 //	        [-checkpoint FILE] [-checkpoint-every D]
@@ -71,7 +71,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("explore", flag.ContinueOnError)
 	name := fs.String("protocol", "tas", "protocol to check: "+protocolNames())
 	procs := fs.Int("procs", 2, "process count for the scalable protocols (cas, sticky, augqueue, fetchcons)")
-	memoize := fs.Bool("memoize", false, "memoize configurations")
+	fs.Bool("memoize", true, "accepted for compatibility; exploration always memoizes")
 	valency := fs.Bool("valency", false, "run the FLP/Herlihy valency analysis on mixed proposals")
 	dot := fs.Bool("dot", false, "print the mixed-proposal execution tree as Graphviz DOT and exit")
 	common := cliutil.Register(fs)
@@ -126,7 +126,7 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "explore: resuming from %s (%s)\n", common.Checkpoint, resume)
 	}
 
-	exOpts, err := common.Supervise(common.Options(explore.Options{Memoize: *memoize}))
+	exOpts, err := common.Supervise(common.Options(explore.Options{}))
 	if err != nil {
 		return err
 	}

@@ -30,7 +30,7 @@ func run() error {
 	// exploration.
 	input := waitfree.Queue2Consensus()
 	rep, err := waitfree.CheckConsensusContext(ctx, input,
-		waitfree.ExploreOptions{Memoize: true, Faults: oneCrash})
+		waitfree.ExploreOptions{Faults: oneCrash})
 	if err != nil {
 		return err
 	}
@@ -42,7 +42,7 @@ func run() error {
 	// Then eliminate its registers (Theorem 5) and re-verify the
 	// register-free output the same way.
 	elim, err := waitfree.EliminateRegistersContext(ctx, input,
-		waitfree.ExploreOptions{Memoize: true, Faults: oneCrash}, 3)
+		waitfree.ExploreOptions{Faults: oneCrash}, 3)
 	if err != nil {
 		return err
 	}

@@ -24,7 +24,7 @@ func TestFaultExplorationPinned(t *testing.T) {
 	rep, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindElimination,
 		Implementation: waitfree.Queue2Consensus(),
-		Explore:        waitfree.ExploreOptions{Memoize: true, Faults: oneCrash},
+		Explore:        waitfree.ExploreOptions{Faults: oneCrash},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestFaultExplorationPinned(t *testing.T) {
 	}
 	// The access bounds are a crash-free property (crash edges cost no
 	// low-level operations), so fault exploration must not inflate them.
-	plain, err := waitfree.CheckConsensus(rep.Elimination.Output, waitfree.ExploreOptions{Memoize: true})
+	plain, err := waitfree.CheckConsensus(rep.Elimination.Output, waitfree.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestCheckCheckpointResume(t *testing.T) {
 		req := waitfree.Request{
 			Kind:           kind,
 			Implementation: waitfree.CASRegister3Consensus(),
-			Explore:        waitfree.ExploreOptions{Memoize: true, Faults: oneCrash},
+			Explore:        waitfree.ExploreOptions{Faults: oneCrash},
 		}
 		partial := cancelAfterFirstTree(t, req)
 		if done := int64(len(partial.Checkpoint.Trees)); done < 1 {
@@ -115,7 +115,7 @@ func TestCheckCheckpointResume(t *testing.T) {
 		resumed, err := waitfree.Check(context.Background(), waitfree.Request{
 			Kind:           kind,
 			Implementation: waitfree.CASRegister3Consensus(),
-			Explore:        waitfree.ExploreOptions{Memoize: true, Faults: oneCrash, Parallelism: 2},
+			Explore:        waitfree.ExploreOptions{Faults: oneCrash, Parallelism: 2},
 			ResumeFrom:     restored,
 		})
 		if err != nil {
@@ -124,7 +124,7 @@ func TestCheckCheckpointResume(t *testing.T) {
 		full, err := waitfree.Check(context.Background(), waitfree.Request{
 			Kind:           kind,
 			Implementation: waitfree.CASRegister3Consensus(),
-			Explore:        waitfree.ExploreOptions{Memoize: true, Faults: oneCrash},
+			Explore:        waitfree.ExploreOptions{Faults: oneCrash},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestCheckCrashRecovery(t *testing.T) {
 	good, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
 		Implementation: waitfree.TAS2Consensus(),
-		Explore:        waitfree.ExploreOptions{Memoize: true, Faults: oneRecovery},
+		Explore:        waitfree.ExploreOptions{Faults: oneRecovery},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestCheckCrashRecovery(t *testing.T) {
 	rep, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
 		Implementation: waitfree.NaiveRegisterConsensus(),
-		Explore:        waitfree.ExploreOptions{Memoize: true, Faults: oneRecovery},
+		Explore:        waitfree.ExploreOptions{Faults: oneRecovery},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestCheckFaultsOnBrokenProtocol(t *testing.T) {
 	rep, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
 		Implementation: waitfree.NaiveRegisterConsensus(),
-		Explore:        waitfree.ExploreOptions{Memoize: true, Faults: oneCrash},
+		Explore:        waitfree.ExploreOptions{Faults: oneCrash},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -62,8 +62,8 @@ func TestContextHonorsTimeout(t *testing.T) {
 
 func TestOptionsFoldsFlags(t *testing.T) {
 	f := &Flags{Parallel: 2, Progress: time.Second}
-	opts := f.Options(explore.Options{Memoize: true})
-	if !opts.Memoize || opts.Parallelism != 2 || opts.ProgressInterval != time.Second || opts.OnProgress == nil {
+	opts := f.Options(explore.Options{})
+	if opts.Parallelism != 2 || opts.ProgressInterval != time.Second || opts.OnProgress == nil {
 		t.Fatalf("folded %+v", opts)
 	}
 	bare := (&Flags{}).Options(explore.Options{})

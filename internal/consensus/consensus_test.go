@@ -41,7 +41,7 @@ func TestWeakLeader2CorrectUnderAllAdversaries(t *testing.T) {
 
 func TestCASConsensusScales(t *testing.T) {
 	for _, procs := range []int{2, 3, 4} {
-		report, err := explore.Consensus(CAS(procs), explore.Options{Memoize: true})
+		report, err := explore.Consensus(CAS(procs), explore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestCASConsensusScales(t *testing.T) {
 
 func TestStickyConsensusScales(t *testing.T) {
 	for _, procs := range []int{2, 3} {
-		report, err := explore.Consensus(Sticky(procs), explore.Options{Memoize: true})
+		report, err := explore.Consensus(Sticky(procs), explore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestSoloDecidesOwnValue(t *testing.T) {
 
 func TestAugQueueConsensusScales(t *testing.T) {
 	for _, procs := range []int{2, 3} {
-		report, err := explore.Consensus(AugQueue(procs), explore.Options{Memoize: true})
+		report, err := explore.Consensus(AugQueue(procs), explore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestAugQueueConsensusScales(t *testing.T) {
 
 func TestFetchConsConsensusScales(t *testing.T) {
 	for _, procs := range []int{2, 3, 4} {
-		report, err := explore.Consensus(FetchCons(procs), explore.Options{Memoize: true})
+		report, err := explore.Consensus(FetchCons(procs), explore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func TestCASRegister3Correct(t *testing.T) {
 	if err := im.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	report, err := explore.Consensus(im, explore.Options{Memoize: true})
+	report, err := explore.Consensus(im, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

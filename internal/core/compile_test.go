@@ -145,7 +145,7 @@ func TestMultiValuedEliminationEndToEnd(t *testing.T) {
 		t.Skip("large exhaustive exploration")
 	}
 	input := multivalue.FromBinarySRSW(4)
-	report, err := EliminateRegisters(input, explore.Options{Memoize: true}, 3)
+	report, err := EliminateRegisters(input, explore.Options{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

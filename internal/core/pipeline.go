@@ -314,9 +314,9 @@ func (r *Report) String() string {
 // EliminateRegisters runs the full Theorem 5 pipeline on a consensus
 // implementation over SRSW-bit registers and objects of one non-trivial
 // deterministic type, verifying both endpoints. opts configures both
-// explorations (Memoize is recommended for larger protocols, and
-// opts.Parallelism spreads each verification's proposal-vector trees
-// across workers). maxK bounds the Section 5.2 witness search.
+// explorations (opts.Parallelism spreads each verification's
+// proposal-vector trees across workers). maxK bounds the Section 5.2
+// witness search.
 func EliminateRegisters(im *program.Implementation, opts explore.Options, maxK int) (*Report, error) {
 	return EliminateRegistersContext(context.Background(), im, opts, maxK)
 }

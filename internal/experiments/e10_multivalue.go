@@ -34,7 +34,7 @@ func E10() (*Table, error) {
 	allOK := true
 	for _, k := range []int{2, 3, 4} {
 		input := multivalue.FromBinarySRSW(k)
-		report, err := core.EliminateRegisters(input, explore.Options{Memoize: true}, 3)
+		report, err := core.EliminateRegisters(input, explore.Options{}, 3)
 		if err != nil {
 			return nil, fmt.Errorf("E10 k=%d: %w", k, err)
 		}
@@ -54,7 +54,7 @@ func E10() (*Table, error) {
 	}
 
 	// The plain (non-SRSW) construction at n = 3 as a breadth check.
-	mv3, err := checkConsensus(multivalue.FromBinary(3, 3), 3, explore.Options{Memoize: true})
+	mv3, err := checkConsensus(multivalue.FromBinary(3, 3), 3, explore.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("E10 n=3: %w", err)
 	}

@@ -47,7 +47,7 @@ func E3() (*Table, error) {
 	allOK := true
 	for _, tc := range cases {
 		im := tc.mk()
-		report, err := checkConsensus(im, 2, explore.Options{Memoize: im.Procs > 2})
+		report, err := checkConsensus(im, 2, explore.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("E3 %s: %w", tc.name, err)
 		}

@@ -30,19 +30,18 @@ func E6() (*Table, error) {
 	cases := []struct {
 		name string
 		mk   func() *program.Implementation
-		memo bool
 	}{
-		{"tas-2consensus", consensus.TAS2, false},
-		{"queue-2consensus", consensus.Queue2, false},
-		{"stack-2consensus", consensus.Stack2, false},
-		{"faa-2consensus", consensus.FAA2, false},
-		{"swap-2consensus", consensus.Swap2, false},
-		{"cas-register-3consensus", consensus.CASRegister3, true},
+		{"tas-2consensus", consensus.TAS2},
+		{"queue-2consensus", consensus.Queue2},
+		{"stack-2consensus", consensus.Stack2},
+		{"faa-2consensus", consensus.FAA2},
+		{"swap-2consensus", consensus.Swap2},
+		{"cas-register-3consensus", consensus.CASRegister3},
 	}
 	allOK := true
 	for _, tc := range cases {
 		im := tc.mk()
-		report, err := core.EliminateRegisters(im, explore.Options{Memoize: tc.memo}, 3)
+		report, err := core.EliminateRegisters(im, explore.Options{}, 3)
 		if err != nil {
 			return nil, fmt.Errorf("E6 %s: %w", tc.name, err)
 		}

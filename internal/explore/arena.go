@@ -321,10 +321,17 @@ type procStep struct {
 // (deterministic, comparable states) that determines the entire advance,
 // including any chain of zero-access operations it completes. forced marks
 // that the caller set Stepped on the clone (CrashBeforeFirstStep), which
-// the stale pre-state segment does not reflect. Only usable under Memoize
-// (segments exist, RecordHistory is excluded by Validate). Errors are not
-// cached.
+// the stale pre-state segment does not reflect. Errors are not cached.
+// RecordHistory bypasses the cache: a hit would skip the beginOp/endOp
+// history events.
 func (e *explorer) stepProcCached(c *config, p int, resp types.Response, forced bool) error {
+	if e.opts.RecordHistory {
+		if err := e.startNextOp(c, p, resp); err != nil {
+			return err
+		}
+		c.procEnc[p] = e.encodeProcSeg(&c.procs[p])
+		return nil
+	}
 	b := e.stepScratch[:0]
 	b = binary.AppendVarint(b, int64(p))
 	if forced {

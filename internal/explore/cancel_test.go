@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"waitfree/internal/consensus"
+	"waitfree/internal/testgate"
 	"waitfree/internal/types"
 )
 
@@ -36,14 +37,17 @@ func waitForGoroutines(t *testing.T, base int) {
 	t.Errorf("goroutine leak: %d running, want <= %d", runtime.NumGoroutine(), base)
 }
 
-// TestConsensusCancellation cancels a long exploration from its own
-// progress callback and checks the cancellation contract: the engine
-// returns context.Canceled promptly (within one counter-flush, far under a
+// TestConsensusCancellation cancels an exploration from its own progress
+// callback and checks the cancellation contract: the engine returns
+// context.Canceled promptly (within one counter-flush, far under a
 // progress tick), every worker goroutine exits, and the final Stats
 // snapshot — published after the workers stop — is internally consistent.
+// A gate holds every worker at its first tree's root until the cancel has
+// happened, so the run is mid-flight when it arrives.
 func TestConsensusCancellation(t *testing.T) {
-	im := consensus.CASRegister3() // ~200ms sequential: plenty of mid-tree surface
 	for _, workers := range []int{1, 4} {
+		gate := testgate.New(1)
+		im := gate.Wrap(consensus.CASRegister3())
 		base := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -60,6 +64,7 @@ func TestConsensusCancellation(t *testing.T) {
 				if cancelled.IsZero() {
 					cancelled = time.Now()
 					cancel()
+					gate.Release()
 				}
 			},
 		}
@@ -121,11 +126,14 @@ func TestConsensusPreCancelled(t *testing.T) {
 // budgets: deadline expiry mid-run is NOT an error — it degrades to a
 // report with Partial set, a Coverage block naming the deadline, and a
 // resumable checkpoint (explicit cancellation stays the hard error path,
-// see TestConsensusCancellation).
+// see TestConsensusCancellation). A gate holds the single worker at the
+// first tree's root until the deadline has expired.
 func TestConsensusDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	rep, err := ConsensusContext(ctx, consensus.CASRegister3(), Options{})
+	gate := testgate.New(1)
+	gate.ReleaseOn(ctx.Done())
+	rep, err := ConsensusContext(ctx, gate.Wrap(consensus.CASRegister3()), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("err = %v, want nil (deadline degrades to a partial report)", err)
 	}
@@ -157,7 +165,7 @@ func TestRunContextCancellation(t *testing.T) {
 	cancel()
 	im := consensus.TAS2()
 	scripts := proposalScripts([]int{0, 1})
-	if _, err := RunContext(ctx, im, scripts, Options{Memoize: true}); !errors.Is(err, context.Canceled) {
+	if _, err := RunContext(ctx, im, scripts, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -171,9 +179,9 @@ func TestOptionsValidate(t *testing.T) {
 		bad  bool
 	}{
 		{"zero", Options{}, false},
-		{"memoize", Options{Memoize: true}, false},
 		{"history", Options{RecordHistory: true}, false},
-		{"memoize+history", Options{Memoize: true, RecordHistory: true}, true},
+		{"negative memo budget", Options{MemoBudget: -1}, true},
+		{"spill without budget", Options{MemoSpillDir: "x"}, true},
 		{"negative depth", Options{MaxDepth: -1}, true},
 		{"negative parallelism", Options{Parallelism: -2}, true},
 		{"negative interval", Options{ProgressInterval: -time.Second}, true},
@@ -199,7 +207,7 @@ func TestOptionsValidate(t *testing.T) {
 		t.Errorf("Consensus: err = %v, want ErrBadOptions", err)
 	}
 	scripts := proposalScripts([]int{0, 1})
-	if _, err := Run(im, scripts, Options{Memoize: true, RecordHistory: true}); !errors.Is(err, ErrBadOptions) {
+	if _, err := Run(im, scripts, Options{MaxDepth: -1}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("Run: err = %v, want ErrBadOptions", err)
 	}
 }

@@ -47,7 +47,7 @@ func TestCheckpointResumeEquality(t *testing.T) {
 	im := consensus.CASRegister3()
 	for _, fm := range []faults.Model{{}, {MaxCrashes: 1},
 		{MaxCrashes: 1, Mode: faults.CrashRecovery, MaxRecoveries: 1}} {
-		base := Options{Memoize: true, Faults: fm}
+		base := Options{Faults: fm}
 		cp := cancelMidRun(t, base)
 		if cp.Faults != fm {
 			t.Fatalf("checkpoint fault model %v, want %v", cp.Faults, fm)
@@ -94,7 +94,7 @@ func TestCheckpointResumeEquality(t *testing.T) {
 // exact violation report of an uninterrupted run.
 func TestCheckpointResumeViolating(t *testing.T) {
 	im := consensus.NaiveRegister2()
-	uninterrupted, err := Consensus(im, Options{Memoize: true})
+	uninterrupted, err := Consensus(im, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCheckpointResumeViolating(t *testing.T) {
 		Values:  2,
 		Roots:   4,
 	}
-	resumed, err := Consensus(im, Options{Memoize: true, ResumeFrom: cp})
+	resumed, err := Consensus(im, Options{ResumeFrom: cp})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,8 +220,8 @@ func consensusScripts(proposals []int) [][]types.Invocation {
 }
 
 // exploreTree explores the single execution tree rooted at the proposal
-// vector of mask. Each tree gets its own decided set and (under Memoize)
-// its own memo table: a table shared across arbitrary trees would be
+// vector of mask. Each tree gets its own decided set and its own memo
+// table: a table shared across arbitrary trees would be
 // unsound, because memo hits skip the per-leaf agreement/validity checks,
 // and validity depends on the tree's proposal vector. Trees in one
 // process-permutation orbit are the exception — for them the symmetry

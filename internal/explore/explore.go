@@ -13,14 +13,17 @@
 // deterministic, wait-free implementation the tree is finite, and the
 // explorer computes its exact depth D and, more finely, per-object and
 // per-operation access bounds along any root-to-leaf path — the r_b and
-// w_b of Section 4.2. A cycle in the configuration graph (detected under
-// memoization) or a path exceeding the step budget is evidence against
+// w_b of Section 4.2. The trees repeat configurations, so the explorer
+// memoizes each configuration's subtree summary and visits it once; the
+// memo table also detects cycles exactly. A cycle in the configuration
+// graph or a path exceeding the step budget is evidence against
 // wait-freedom and is reported as a violation together with the schedule
 // that exhibits it.
 package explore
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -40,15 +43,18 @@ const DefaultMaxDepth = 4096
 // Options configures a Run.
 type Options struct {
 	// MaxDepth is the per-path object-access budget; exceeding it is
-	// reported as a wait-freedom violation. 0 means DefaultMaxDepth.
+	// reported as a wait-freedom violation. 0 means DefaultMaxDepth. The
+	// budget holds on every path, including paths that reach a memoized
+	// configuration: a cached subtree too tall for the remaining budget is
+	// re-expanded, so the violation surfaces on the same path as in a full
+	// tree walk.
 	MaxDepth int
-	// Memoize deduplicates configurations reached by several paths. The
-	// paper's trees replicate such configurations; memoizing changes cost,
-	// never verdicts. Memoization also enables exact cycle detection.
-	// Incompatible with RecordHistory.
-	Memoize bool
 	// RecordHistory attaches the complete concurrent history of target
-	// operations to each Leaf, for linearizability checking.
+	// operations to each Leaf, for linearizability checking. A memoized
+	// subtree cannot carry the histories of every path into it, so a
+	// RecordHistory run explores every path without the memo table: there
+	// is no cycle detection, and MaxDepth alone bounds a non-wait-free
+	// implementation.
 	RecordHistory bool
 	// OnLeaf, if set, is called at every leaf. Returning an error aborts
 	// exploration and surfaces as a KindLeafReject violation.
@@ -87,7 +93,8 @@ type Options struct {
 	// Degraded in Result, ConsensusReport, and Stats; with MemoSpillDir
 	// evicted entries move to disk and nothing is lost. Eviction changes
 	// cost, never verdicts, and is deterministic, so reports remain
-	// identical at every parallelism level. Requires Memoize.
+	// identical at every parallelism level. Ignored under RecordHistory,
+	// which runs without a memo table.
 	MemoBudget int
 	// MemoSpillDir, if non-empty, gives budgeted memo tables a disk tier:
 	// entries evicted under MemoBudget are written to a checksummed spill
@@ -169,14 +176,11 @@ type Options struct {
 
 // Validate checks the options for internal consistency. It returns an
 // error wrapping ErrBadOptions for combinations that previously produced
-// undefined behavior: Memoize with RecordHistory (memoized paths cannot
-// carry complete histories), a negative MaxDepth, a negative Parallelism,
-// or a negative ProgressInterval. Every exploration entry point validates
-// its options up front, so callers only need Validate to fail early.
+// undefined behavior: a negative MaxDepth, a negative Parallelism, or a
+// negative ProgressInterval, among others. Every exploration entry point
+// validates its options up front, so callers only need Validate to fail
+// early.
 func (o Options) Validate() error {
-	if o.Memoize && o.RecordHistory {
-		return fmt.Errorf("%w: Memoize and RecordHistory are mutually exclusive", ErrBadOptions)
-	}
 	if o.MaxDepth < 0 {
 		return fmt.Errorf("%w: negative MaxDepth %d", ErrBadOptions, o.MaxDepth)
 	}
@@ -191,9 +195,6 @@ func (o Options) Validate() error {
 	}
 	if o.MemoBudget < 0 {
 		return fmt.Errorf("%w: negative MemoBudget %d", ErrBadOptions, o.MemoBudget)
-	}
-	if o.MemoBudget > 0 && !o.Memoize {
-		return fmt.Errorf("%w: MemoBudget requires Memoize", ErrBadOptions)
 	}
 	if o.MemoSpillDir != "" && o.MemoBudget == 0 {
 		return fmt.Errorf("%w: MemoSpillDir requires MemoBudget", ErrBadOptions)
@@ -219,9 +220,8 @@ func (o Options) Validate() error {
 // Leaf describes one completed execution.
 type Leaf struct {
 	// Responses[p][k] is the response of process p's k-th target
-	// operation. Under memoization only the last operation's response per
-	// process is available (earlier ones are zero Responses for processes
-	// whose prefix was deduplicated).
+	// operation along this execution. A crashed process lists only the
+	// operations it completed before crashing.
 	Responses [][]types.Response
 	// Depth is the number of object accesses along this execution.
 	Depth int
@@ -329,26 +329,42 @@ func (k ViolationKind) String() string {
 	return "unknown violation"
 }
 
+// kindTags are the stable JSON tags of the violation kinds, indexed by
+// kind.
+var kindTags = [...]string{
+	KindDepthExceeded:                "depth-exceeded",
+	KindCycle:                        "cycle",
+	KindLeafReject:                   "leaf-reject",
+	KindBlockedBySurvivorStarvation:  "survivor-starvation",
+	KindInvalidAfterCrash:            "invalid-after-crash",
+	KindBlockedByRecoveryDivergence:  "recovery-divergence",
+	KindDecisionChangedAfterRecovery: "decision-changed-after-recovery",
+}
+
 // MarshalJSON renders the kind as a stable string tag rather than a bare
 // enum ordinal, so -json output survives reordering of the constants.
 func (k ViolationKind) MarshalJSON() ([]byte, error) {
-	switch k {
-	case KindDepthExceeded:
-		return []byte(`"depth-exceeded"`), nil
-	case KindCycle:
-		return []byte(`"cycle"`), nil
-	case KindLeafReject:
-		return []byte(`"leaf-reject"`), nil
-	case KindBlockedBySurvivorStarvation:
-		return []byte(`"survivor-starvation"`), nil
-	case KindInvalidAfterCrash:
-		return []byte(`"invalid-after-crash"`), nil
-	case KindBlockedByRecoveryDivergence:
-		return []byte(`"recovery-divergence"`), nil
-	case KindDecisionChangedAfterRecovery:
-		return []byte(`"decision-changed-after-recovery"`), nil
+	tag := "unknown"
+	if k > 0 && int(k) < len(kindTags) {
+		tag = kindTags[k]
 	}
-	return []byte(`"unknown"`), nil
+	return json.Marshal(tag)
+}
+
+// UnmarshalJSON accepts exactly the tags MarshalJSON emits for a known
+// kind; anything else is an error, never a zero kind.
+func (k *ViolationKind) UnmarshalJSON(data []byte) error {
+	var tag string
+	if err := json.Unmarshal(data, &tag); err != nil {
+		return fmt.Errorf("explore: violation kind: %w", err)
+	}
+	for i, t := range kindTags {
+		if i > 0 && t == tag {
+			*k = ViolationKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("explore: unknown violation kind %q", tag)
 }
 
 // Violation is a semantic finding: evidence that the implementation is not
@@ -473,9 +489,9 @@ type config struct {
 	// once, when it changes, and the memo key is assembled by
 	// concatenating the cached segments (explorer.flatKey) instead of
 	// re-walking the whole configuration per node. Segments are immutable
-	// arena bytes shared freely between a config and its clones. Only
-	// maintained on the memoized hot path; nil on configs built elsewhere
-	// (valency, dot, tests), which keep using configKey.
+	// arena bytes shared freely between a config and its clones. Every
+	// config the explorer builds carries them; configs built elsewhere
+	// (valency, dot) leave them nil and use configKey.
 	objEnc  [][]byte
 	procEnc [][]byte
 }
@@ -559,11 +575,8 @@ func newExplorer(im *program.Implementation, scripts [][]types.Invocation, opts 
 		im:      im,
 		scripts: scripts,
 		opts:    opts,
+		enc:     newKeyEncoder(),
 		curProc: -1,
-	}
-	if opts.Memoize {
-		e.memo = newMemoTable(opts.MemoBudget, opts.MemoSpillDir, opts.FS)
-		e.enc = newKeyEncoder()
 	}
 	root := &config{
 		objs:  im.InitialStates(),
@@ -577,11 +590,9 @@ func newExplorer(im *program.Implementation, scripts [][]types.Invocation, opts 
 			return nil, nil, err
 		}
 	}
-	if opts.Memoize {
-		// Flat layout: encode every root component once; per-edge updates
-		// re-encode only what changed.
-		e.encodeSegments(root)
-	}
+	// Flat layout: encode every root component once; per-edge updates
+	// re-encode only what changed.
+	e.encodeSegments(root)
 	return e, root, nil
 }
 
@@ -591,7 +602,8 @@ func newExplorer(im *program.Implementation, scripts [][]types.Invocation, opts 
 // offending configuration's key, instead of killing the worker goroutine
 // and with it the whole process.
 func (e *explorer) explore(root *config) (res *Result, err error) {
-	if e.memo != nil {
+	if !e.opts.RecordHistory {
+		e.memo = newMemoTable(e.opts.MemoBudget, e.opts.MemoSpillDir, e.opts.FS)
 		defer e.memo.release()
 	}
 	defer func() {
@@ -691,8 +703,8 @@ type explorer struct {
 	sinceFlush int
 
 	// memo deduplicates configurations; entries holding grayMark are on
-	// the current DFS stack (cycle detection). enc renders configurations
-	// into the memo's byte keys.
+	// the current DFS stack (cycle detection). It is nil under
+	// RecordHistory. enc renders configurations into the memo's byte keys.
 	memo     *memoTable
 	enc      *keyEncoder
 	memoHits int64
@@ -924,47 +936,50 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 		return sum, errAbort
 	}
 
-	var key string
-	if e.opts.Memoize {
-		if c.objEnc == nil {
-			// A config handed in without cached segments (a bare explorer
-			// in a test): build them once; children inherit incrementally.
-			e.encodeSegments(c)
-		}
-		kb := e.flatKey(c)
-		if cached, ok := e.memo.get(kb); ok {
-			if cached == grayMark {
-				switch {
-				case recoveries > 0:
-					e.violate(KindBlockedByRecoveryDivergence,
-						fmt.Sprintf("configuration repeats along one execution after %d recover(y/ies)", recoveries))
-				case crashes > 0:
-					e.violate(KindBlockedBySurvivorStarvation,
-						fmt.Sprintf("survivor configuration repeats along one execution after %d crash(es)", crashes))
-				default:
-					e.violate(KindCycle, "configuration repeats along one execution")
-				}
-				return sum, errAbort
-			}
-			e.memoHits++
-			e.pendMemo++
-			e.recycleSummary(sum) // fresh, nothing merged: reuse it
-			return cached, nil
-		}
-		key = string(kb) // retain: kb is invalidated by child encodings
-		e.memo.put(key, grayMark)
+	if e.memo == nil {
+		// RecordHistory: every path is explored in full.
+		return sum, e.expand(c, depth, sum, crashes, recoveries)
 	}
+	kb := e.flatKey(c)
+	if cached, ok := e.memo.get(kb); ok {
+		if cached == grayMark {
+			switch {
+			case recoveries > 0:
+				e.violate(KindBlockedByRecoveryDivergence,
+					fmt.Sprintf("configuration repeats along one execution after %d recover(y/ies)", recoveries))
+			case crashes > 0:
+				e.violate(KindBlockedBySurvivorStarvation,
+					fmt.Sprintf("survivor configuration repeats along one execution after %d crash(es)", crashes))
+			default:
+				e.violate(KindCycle, "configuration repeats along one execution")
+			}
+			return sum, errAbort
+		}
+		// Every interior node has a child one access deeper (Spec.Apply
+		// never returns zero transitions), so a cached subtree fits the
+		// budget exactly when its height does. One that does not is
+		// re-expanded, leaving its entry alone, so the budget trips on
+		// this path just as a walk of the full tree would. No gray mark is
+		// needed: the cached subtree is acyclic.
+		if depth+cached.height > e.opts.MaxDepth {
+			return sum, e.expand(c, depth, sum, crashes, recoveries)
+		}
+		e.memoHits++
+		e.pendMemo++
+		e.recycleSummary(sum) // fresh, nothing merged: reuse it
+		return cached, nil
+	}
+	key := string(kb) // retain: kb is invalidated by child encodings
+	e.memo.put(key, grayMark)
 
 	// All error returns below must clear the gray mark, or a later visit
 	// of this configuration would report a phantom cycle; expand has a
 	// single exit so the cleanup cannot be skipped by any error path.
 	err := e.expand(c, depth, sum, crashes, recoveries)
-	if e.opts.Memoize {
-		if err != nil {
-			e.memo.drop(key)
-		} else {
-			e.memo.put(key, sum)
-		}
+	if err != nil {
+		e.memo.drop(key)
+	} else {
+		e.memo.put(key, sum)
 	}
 	return sum, err
 }
@@ -994,9 +1009,7 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			}
 			child := e.cloneConfig(c)
 			child.procs[p].Crashed = true
-			if e.opts.Memoize {
-				child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
-			}
+			child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
 			e.schedule = append(e.schedule, StepRecord{Proc: p, Obj: -1, Crash: true})
 			// A crash is not an object access: it consumes no depth budget
 			// and bumps no access counters (mergeCrashChild), matching the
@@ -1044,9 +1057,7 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			err := e.startNextOp(child, p, types.Response{})
 			var childSum *summary
 			if err == nil {
-				if e.opts.Memoize {
-					child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
-				}
+				child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
 				// Like a crash, a recovery is not an object access: no
 				// depth budget, no access counters. Termination holds
 				// because each recovery strictly increases the total
@@ -1079,19 +1090,7 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 		}
 		e.curConfig, e.curProc, e.curDepth = c, p, depth
 		act := c.procs[p].Pending
-		var cts []cachedTrans
-		var err error
-		if e.opts.Memoize {
-			cts, err = e.applyCached(c, p, act)
-		} else {
-			decl := &e.im.Objects[act.Obj]
-			var ts []types.Transition
-			ts, err = decl.Spec.Apply(c.objs[act.Obj], decl.Port(p), act.Inv)
-			cts = make([]cachedTrans, len(ts))
-			for i, t := range ts {
-				cts[i] = cachedTrans{next: t.Next, resp: t.Resp}
-			}
-		}
+		cts, err := e.applyCached(c, p, act)
 		if err != nil {
 			return fmt.Errorf("process %d at depth %d: %w", p, depth, err)
 		}
@@ -1109,12 +1108,8 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			// stack-scoped — nothing below retains the pointer — and
 			// every expand call restores c before returning, so after the
 			// restore c is the parent again for the next transition.
-			oldObj := c.objs[act.Obj]
-			oldProc := c.procs[p]
-			var oldObjSeg, oldProcSeg []byte
-			if e.opts.Memoize {
-				oldObjSeg, oldProcSeg = c.objEnc[act.Obj], c.procEnc[p]
-			}
+			oldObj, oldObjSeg := c.objs[act.Obj], c.objEnc[act.Obj]
+			oldProc, oldProcSeg := c.procs[p], c.procEnc[p]
 			c.objs[act.Obj] = t.next
 			if forcedStep {
 				c.procs[p].Stepped = true
@@ -1129,17 +1124,11 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 				e.clock++ // the access itself is a clock event
 			}
 
-			var err error
-			if e.opts.Memoize {
-				// The object's successor segment comes pre-encoded with
-				// the cached transition, and the process advances (with
-				// its segment) through the step cache; everything else is
-				// shared.
-				c.objEnc[act.Obj] = t.nextEnc
-				err = e.stepProcCached(c, p, t.resp, forcedStep)
-			} else {
-				err = e.startNextOp(c, p, t.resp)
-			}
+			// The object's successor segment comes pre-encoded with the
+			// cached transition, and the process advances (with its
+			// segment) through the step cache; everything else is shared.
+			c.objEnc[act.Obj] = t.nextEnc
+			err := e.stepProcCached(c, p, t.resp, forcedStep)
 			var childSum *summary
 			if err == nil {
 				childSum, err = e.dfs(c, depth+1)
@@ -1147,11 +1136,8 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 
 			// Restore the parent configuration before any other code
 			// (merges, error returns) can observe c.
-			c.objs[act.Obj] = oldObj
-			c.procs[p] = oldProc
-			if e.opts.Memoize {
-				c.objEnc[act.Obj], c.procEnc[p] = oldObjSeg, oldProcSeg
-			}
+			c.objs[act.Obj], c.objEnc[act.Obj] = oldObj, oldObjSeg
+			c.procs[p], c.procEnc[p] = oldProc, oldProcSeg
 
 			if childSum != nil {
 				e.mergeChild(sum, childSum, opID, objID, procID)
@@ -1271,13 +1257,7 @@ func (e *explorer) leaf(c *config, depth, crashes, recoveries int) error {
 		Schedule:  append([]StepRecord(nil), e.schedule...),
 	}
 	for p := 0; p < e.im.Procs; p++ {
-		if e.opts.Memoize {
-			// Path data may be incomplete under memoization; surface the
-			// per-process final responses from the configuration itself.
-			leaf.Responses[p] = []types.Response{c.procs[p].Resp}
-		} else {
-			leaf.Responses[p] = append([]types.Response(nil), e.responses[p]...)
-		}
+		leaf.Responses[p] = append([]types.Response(nil), e.responses[p]...)
 	}
 	if crashes > 0 {
 		leaf.Crashed = make([]bool, e.im.Procs)

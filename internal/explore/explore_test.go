@@ -237,7 +237,7 @@ func TestNonWaitFreeDetectedByCycle(t *testing.T) {
 	im.Objects = []program.ObjectDecl{
 		{Name: "r", Spec: types.Register(1, 2), Init: 0, PortOf: program.AllPorts(1)},
 	}
-	report, err := Consensus(im, Options{Memoize: true})
+	report, err := Consensus(im, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,12 +249,43 @@ func TestNonWaitFreeDetectedByCycle(t *testing.T) {
 	}
 }
 
+// counted is the object state of a countingImpl: the wrapped state plus
+// the number of accesses so far.
+type counted struct {
+	Q types.State
+	N int
+}
+
+// countingImpl returns im with every object's state extended by an access
+// counter. Transitions and responses are unchanged, but no configuration
+// ever repeats, so cycle detection cannot catch a spinner: only the step
+// budget stops it. The budget violations are tested on such spinners.
+func countingImpl(im *program.Implementation) *program.Implementation {
+	out := *im
+	out.Objects = make([]program.ObjectDecl, len(im.Objects))
+	for i, d := range im.Objects {
+		spec := *d.Spec
+		step := d.Spec.Step
+		spec.Step = func(q types.State, port int, inv types.Invocation) []types.Transition {
+			c := q.(counted)
+			var ts []types.Transition
+			for _, t := range step(c.Q, port, inv) {
+				ts = append(ts, types.Transition{Next: counted{Q: t.Next, N: c.N + 1}, Resp: t.Resp})
+			}
+			return ts
+		}
+		d.Spec, d.Init = &spec, counted{Q: d.Init}
+		out.Objects[i] = d
+	}
+	return &out
+}
+
 func TestNonWaitFreeDetectedByDepth(t *testing.T) {
 	im := noObjectImpl(spinMachine, 1)
 	im.Objects = []program.ObjectDecl{
 		{Name: "r", Spec: types.Register(1, 2), Init: 0, PortOf: program.AllPorts(1)},
 	}
-	report, err := Consensus(im, Options{MaxDepth: 50})
+	report, err := Consensus(countingImpl(im), Options{MaxDepth: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,32 +297,6 @@ func TestNonWaitFreeDetectedByDepth(t *testing.T) {
 	}
 	if len(report.Violation.Schedule) != 50 {
 		t.Errorf("violating schedule length = %d, want 50", len(report.Violation.Schedule))
-	}
-}
-
-func TestMemoizationPreservesVerdictsAndBounds(t *testing.T) {
-	plain, err := Consensus(casConsensusImpl(3), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo, err := Consensus(casConsensusImpl(3), Options{Memoize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Depth != memo.Depth || plain.Leaves != memo.Leaves || plain.Nodes != memo.Nodes {
-		t.Errorf("memoization changed tree accounting: plain(D=%d,n=%d,l=%d) memo(D=%d,n=%d,l=%d)",
-			plain.Depth, plain.Nodes, plain.Leaves, memo.Depth, memo.Nodes, memo.Leaves)
-	}
-	for o := range plain.MaxAccess {
-		if plain.MaxAccess[o] != memo.MaxAccess[o] {
-			t.Errorf("obj%d: access bound %d vs %d", o, plain.MaxAccess[o], memo.MaxAccess[o])
-		}
-	}
-	if plain.OK() != memo.OK() {
-		t.Error("memoization changed the verdict")
-	}
-	if memo.MemoHits == 0 {
-		t.Error("memoized run recorded no hits on a converging protocol")
 	}
 }
 
@@ -375,10 +380,6 @@ func TestRunRejectsBadShapes(t *testing.T) {
 	im := casConsensusImpl(2)
 	if _, err := Run(im, nil, Options{}); err == nil {
 		t.Error("script count mismatch accepted")
-	}
-	scripts := [][]types.Invocation{{types.Propose(0)}, {types.Propose(0)}}
-	if _, err := Run(im, scripts, Options{Memoize: true, RecordHistory: true}); err == nil {
-		t.Error("memoize+history accepted")
 	}
 }
 

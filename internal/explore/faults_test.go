@@ -23,40 +23,38 @@ var oneCrash = faults.Model{MaxCrashes: 1}
 // prefix of a crash-free one.
 func TestQueue2UnderCrashExploration(t *testing.T) {
 	im := consensus.Queue2()
-	plain, err := Consensus(im, Options{Memoize: true})
+	plain, err := Consensus(im, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []faults.Mode{faults.CrashStop, faults.CrashBeforeFirstStep} {
-		for _, memoize := range []bool{false, true} {
-			opts := Options{Memoize: memoize, Faults: faults.Model{MaxCrashes: 1, Mode: mode}}
-			rep, err := Consensus(im, opts)
-			if err != nil {
-				t.Fatalf("mode=%v memoize=%v: %v", mode, memoize, err)
-			}
-			if !rep.OK() {
-				t.Fatalf("mode=%v memoize=%v: Queue2 failed under 1-crash exploration: %s",
-					mode, memoize, rep)
-			}
-			if rep.Faults == nil || *rep.Faults != opts.Faults {
-				t.Errorf("mode=%v memoize=%v: report does not echo fault model: %+v", mode, memoize, rep.Faults)
-			}
-			if !reflect.DeepEqual(rep.Decisions, []int{0, 1}) {
-				t.Errorf("mode=%v memoize=%v: decisions %v, want [0 1]", mode, memoize, rep.Decisions)
-			}
-			if rep.Depth != plain.Depth ||
-				!reflect.DeepEqual(rep.MaxAccess, plain.MaxAccess) ||
-				!reflect.DeepEqual(rep.OpAccess, plain.OpAccess) ||
-				!reflect.DeepEqual(rep.ProcSteps, plain.ProcSteps) {
-				t.Errorf("mode=%v memoize=%v: crash exploration changed the Section 4.2 bounds:\nplain:  D=%d max=%v ops=%v steps=%v\nfaults: D=%d max=%v ops=%v steps=%v",
-					mode, memoize,
-					plain.Depth, plain.MaxAccess, plain.OpAccess, plain.ProcSteps,
-					rep.Depth, rep.MaxAccess, rep.OpAccess, rep.ProcSteps)
-			}
-			if rep.Nodes <= plain.Nodes || rep.Leaves <= plain.Leaves {
-				t.Errorf("mode=%v memoize=%v: fault exploration did not add configurations (nodes %d vs %d, leaves %d vs %d)",
-					mode, memoize, rep.Nodes, plain.Nodes, rep.Leaves, plain.Leaves)
-			}
+		opts := Options{Faults: faults.Model{MaxCrashes: 1, Mode: mode}}
+		rep, err := Consensus(im, opts)
+		if err != nil {
+			t.Fatalf("mode=%v: %v", mode, err)
+		}
+		if !rep.OK() {
+			t.Fatalf("mode=%v: Queue2 failed under 1-crash exploration: %s",
+				mode, rep)
+		}
+		if rep.Faults == nil || *rep.Faults != opts.Faults {
+			t.Errorf("mode=%v: report does not echo fault model: %+v", mode, rep.Faults)
+		}
+		if !reflect.DeepEqual(rep.Decisions, []int{0, 1}) {
+			t.Errorf("mode=%v: decisions %v, want [0 1]", mode, rep.Decisions)
+		}
+		if rep.Depth != plain.Depth ||
+			!reflect.DeepEqual(rep.MaxAccess, plain.MaxAccess) ||
+			!reflect.DeepEqual(rep.OpAccess, plain.OpAccess) ||
+			!reflect.DeepEqual(rep.ProcSteps, plain.ProcSteps) {
+			t.Errorf("mode=%v: crash exploration changed the Section 4.2 bounds:\nplain:  D=%d max=%v ops=%v steps=%v\nfaults: D=%d max=%v ops=%v steps=%v",
+				mode,
+				plain.Depth, plain.MaxAccess, plain.OpAccess, plain.ProcSteps,
+				rep.Depth, rep.MaxAccess, rep.OpAccess, rep.ProcSteps)
+		}
+		if rep.Nodes <= plain.Nodes || rep.Leaves <= plain.Leaves {
+			t.Errorf("mode=%v: fault exploration did not add configurations (nodes %d vs %d, leaves %d vs %d)",
+				mode, rep.Nodes, plain.Nodes, rep.Leaves, plain.Leaves)
 		}
 	}
 }
@@ -66,7 +64,7 @@ func TestQueue2UnderCrashExploration(t *testing.T) {
 // nothing to check) and must not flag a correct protocol.
 func TestAllProcessesMayCrash(t *testing.T) {
 	im := consensus.TAS2()
-	rep, err := Consensus(im, Options{Memoize: true, Faults: faults.Model{MaxCrashes: im.Procs}})
+	rep, err := Consensus(im, Options{Faults: faults.Model{MaxCrashes: im.Procs}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +139,7 @@ func spinnerImpl() *program.Implementation {
 func TestSurvivorStarvationCounterexample(t *testing.T) {
 	im := spinnerImpl()
 
-	rep, err := Consensus(im, Options{Memoize: true, Faults: oneCrash})
+	rep, err := Consensus(im, Options{Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,18 +160,20 @@ func TestSurvivorStarvationCounterexample(t *testing.T) {
 		t.Errorf("lane rendering lacks the CRASH marker:\n%s", FormatLanes(v.Schedule, im))
 	}
 
-	// The depth-bounded analogue (no memoization, so no cycle detection):
-	// the spin must exhaust the budget and still classify as starvation.
-	rep, err = Consensus(im, Options{MaxDepth: 32, Faults: oneCrash})
+	// The depth-bounded analogue: with an access counter on the flag no
+	// configuration repeats, so the spin must exhaust the budget and still
+	// classify as starvation.
+	rep, err = Consensus(countingImpl(im), Options{MaxDepth: 32, Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := rep.Violation; v == nil || v.Kind != KindBlockedBySurvivorStarvation {
-		t.Fatalf("depth-bounded violation = %+v, want KindBlockedBySurvivorStarvation", rep.Violation)
+	if v := rep.Violation; v == nil || v.Kind != KindBlockedBySurvivorStarvation ||
+		!strings.Contains(v.Detail, "object accesses") {
+		t.Fatalf("depth-bounded violation = %+v, want KindBlockedBySurvivorStarvation by budget", rep.Violation)
 	}
 
 	// Crash-free contrast: a plain cycle, no crash records anywhere.
-	rep, err = Consensus(im, Options{Memoize: true})
+	rep, err = Consensus(im, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func soloDecideImpl() *program.Implementation {
 // failure, with the crash in the schedule.
 func TestInvalidAfterCrashCounterexample(t *testing.T) {
 	im := soloDecideImpl()
-	rep, err := Consensus(im, Options{Memoize: true, Faults: oneCrash})
+	rep, err := Consensus(im, Options{Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +289,7 @@ func TestLeafCrashedAnnotation(t *testing.T) {
 // TestFaultParityAcrossParallelism extends the engine's determinism
 // guarantee to fault exploration: with crashes enabled, the merged report
 // must stay a pure function of the implementation — identical at every
-// parallelism level, memoized or not, on correct and violating protocols
-// alike.
+// parallelism level, on correct and violating protocols alike.
 func TestFaultParityAcrossParallelism(t *testing.T) {
 	impls := []*program.Implementation{
 		consensus.TAS2(), consensus.Queue2(), consensus.NaiveRegister2(),
@@ -298,31 +297,24 @@ func TestFaultParityAcrossParallelism(t *testing.T) {
 		spinnerImpl(), soloDecideImpl(),
 	}
 	for _, im := range impls {
-		for _, memoize := range []bool{false, true} {
-			opts := Options{Memoize: memoize, Parallelism: 1, Faults: oneCrash}
-			if !memoize {
-				// Unmemoized runs have no cycle detection; bound the broken
-				// protocols' spin instead of walking to DefaultMaxDepth.
-				opts.MaxDepth = 64
+		opts := Options{Parallelism: 1, Faults: oneCrash}
+		seq, seqErr := Consensus(im, opts)
+		stripStats(seq)
+		for _, workers := range []int{2, 4} {
+			popts := opts
+			popts.Parallelism = workers
+			par, parErr := Consensus(im, popts)
+			stripStats(par)
+			if (seqErr == nil) != (parErr == nil) {
+				t.Fatalf("%s workers=%d: error mismatch: %v vs %v",
+					im.Name, workers, seqErr, parErr)
 			}
-			seq, seqErr := Consensus(im, opts)
-			stripStats(seq)
-			for _, workers := range []int{2, 4} {
-				popts := opts
-				popts.Parallelism = workers
-				par, parErr := Consensus(im, popts)
-				stripStats(par)
-				if (seqErr == nil) != (parErr == nil) {
-					t.Fatalf("%s memoize=%v workers=%d: error mismatch: %v vs %v",
-						im.Name, memoize, workers, seqErr, parErr)
-				}
-				if seqErr != nil {
-					continue
-				}
-				if !reflect.DeepEqual(seq, par) {
-					t.Errorf("%s memoize=%v workers=%d: fault report mismatch\nseq: %+v\npar: %+v",
-						im.Name, memoize, workers, seq, par)
-				}
+			if seqErr != nil {
+				continue
+			}
+			if !reflect.DeepEqual(seq, par) {
+				t.Errorf("%s workers=%d: fault report mismatch\nseq: %+v\npar: %+v",
+					im.Name, workers, seq, par)
 			}
 		}
 	}
@@ -336,11 +328,11 @@ func TestFaultParityAcrossParallelism(t *testing.T) {
 // every level (Result, report, Stats) with the evictions counted.
 func TestMemoBudgetDegradation(t *testing.T) {
 	im := consensus.Queue2()
-	full, err := Consensus(im, Options{Memoize: true})
+	full, err := Consensus(im, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := Consensus(im, Options{Memoize: true, MemoBudget: 4, Faults: oneCrash})
+	tight, err := Consensus(im, Options{MemoBudget: 4, Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +356,7 @@ func TestMemoBudgetDegradation(t *testing.T) {
 	}
 
 	// Degraded runs must preserve parity too: eviction is deterministic.
-	opts := Options{Memoize: true, MemoBudget: 4, Faults: oneCrash}
+	opts := Options{MemoBudget: 4, Faults: oneCrash}
 	seq, err := Consensus(im, opts)
 	if err != nil {
 		t.Fatal(err)

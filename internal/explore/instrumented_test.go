@@ -73,51 +73,48 @@ func TestProgressSnapshotRetention(t *testing.T) {
 
 func TestInstrumentedParity(t *testing.T) {
 	for _, im := range consensus.Corpus() {
-		for _, memoize := range []bool{false, true} {
-			base, baseErr := Consensus(im, Options{Memoize: memoize})
-			for _, workers := range []int{1, 2, 4} {
-				opts := Options{
-					Memoize:          memoize,
-					Parallelism:      workers,
-					ProgressInterval: time.Millisecond,
-					OnProgress:       func(Stats) {},
-				}
-				got, err := Consensus(im, opts)
-				if (baseErr == nil) != (err == nil) {
-					t.Fatalf("%s memoize=%v workers=%d: error mismatch: %v vs %v",
-						im.Name, memoize, workers, baseErr, err)
-				}
-				if baseErr != nil {
-					continue
-				}
-				if got.OK() != base.OK() {
-					t.Errorf("%s memoize=%v workers=%d: verdict %v, want %v",
-						im.Name, memoize, workers, got.OK(), base.OK())
-				}
-				if got.Depth != base.Depth || got.Nodes != base.Nodes ||
-					got.Leaves != base.Leaves || got.MemoHits != base.MemoHits {
-					t.Errorf("%s memoize=%v workers=%d: counters (D=%d N=%d L=%d M=%d), want (D=%d N=%d L=%d M=%d)",
-						im.Name, memoize, workers,
-						got.Depth, got.Nodes, got.Leaves, got.MemoHits,
-						base.Depth, base.Nodes, base.Leaves, base.MemoHits)
-				}
-				// The engine snapshot counts visited configurations. That is
-				// not comparable to the merged Nodes in general — memo hits
-				// splice cached subtree totals into the report, and violating
-				// runs cut trees from the merge — so only its internal
-				// consistency is checked here.
-				if got.Stats == nil {
-					t.Fatalf("%s memoize=%v workers=%d: no Stats on instrumented run", im.Name, memoize, workers)
-				}
-				if got.Stats.Nodes == 0 {
-					t.Errorf("%s memoize=%v workers=%d: empty engine snapshot", im.Name, memoize, workers)
-				}
-				// Violating runs shed trees above the first bad mask, so the
-				// done==total invariant only holds on verified runs.
-				if base.OK() && got.Stats.TreesDone != got.Stats.TreesTotal {
-					t.Errorf("%s memoize=%v workers=%d: completed run finished %d of %d trees",
-						im.Name, memoize, workers, got.Stats.TreesDone, got.Stats.TreesTotal)
-				}
+		base, baseErr := Consensus(im, Options{})
+		for _, workers := range []int{1, 2, 4} {
+			opts := Options{
+				Parallelism:      workers,
+				ProgressInterval: time.Millisecond,
+				OnProgress:       func(Stats) {},
+			}
+			got, err := Consensus(im, opts)
+			if (baseErr == nil) != (err == nil) {
+				t.Fatalf("%s workers=%d: error mismatch: %v vs %v",
+					im.Name, workers, baseErr, err)
+			}
+			if baseErr != nil {
+				continue
+			}
+			if got.OK() != base.OK() {
+				t.Errorf("%s workers=%d: verdict %v, want %v",
+					im.Name, workers, got.OK(), base.OK())
+			}
+			if got.Depth != base.Depth || got.Nodes != base.Nodes ||
+				got.Leaves != base.Leaves || got.MemoHits != base.MemoHits {
+				t.Errorf("%s workers=%d: counters (D=%d N=%d L=%d M=%d), want (D=%d N=%d L=%d M=%d)",
+					im.Name, workers,
+					got.Depth, got.Nodes, got.Leaves, got.MemoHits,
+					base.Depth, base.Nodes, base.Leaves, base.MemoHits)
+			}
+			// The engine snapshot counts visited configurations. That is
+			// not comparable to the merged Nodes in general — memo hits
+			// splice cached subtree totals into the report, and violating
+			// runs cut trees from the merge — so only its internal
+			// consistency is checked here.
+			if got.Stats == nil {
+				t.Fatalf("%s workers=%d: no Stats on instrumented run", im.Name, workers)
+			}
+			if got.Stats.Nodes == 0 {
+				t.Errorf("%s workers=%d: empty engine snapshot", im.Name, workers)
+			}
+			// Violating runs shed trees above the first bad mask, so the
+			// done==total invariant only holds on verified runs.
+			if base.OK() && got.Stats.TreesDone != got.Stats.TreesTotal {
+				t.Errorf("%s workers=%d: completed run finished %d of %d trees",
+					im.Name, workers, got.Stats.TreesDone, got.Stats.TreesTotal)
 			}
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // This file implements the explorer's configuration keys and memo table.
 //
 // A configuration (object states + per-process control states) must be
-// rendered into a map key once per DFS node under memoization. The
+// rendered into a map key once per DFS node. The
 // rendering used to be fmt.Sprintf("%#v|%#v", ...), which spends most of
 // its time in fmt's reflection-based formatter; profiles of memoized runs
 // showed the key rendering dominating the exploration itself. The encoder

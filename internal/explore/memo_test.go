@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"waitfree/internal/consensus"
+	"waitfree/internal/faults"
+	"waitfree/internal/program"
 )
 
 // TestMemoPutNoEvictStorm is the regression test for the evict-storm bug:
@@ -133,13 +135,13 @@ func TestMemoCountExactUnderRace(t *testing.T) {
 // degrade (the flag keeps meaning "the memo lost entries for good").
 func TestMemoSpillPreservesHits(t *testing.T) {
 	im := consensus.Queue2()
-	full, err := Consensus(im, Options{Memoize: true, Faults: oneCrash})
+	full, err := Consensus(im, Options{Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	spill, err := Consensus(im, Options{
-		Memoize: true, MemoBudget: 4, MemoSpillDir: dir, Faults: oneCrash,
+		MemoBudget: 4, MemoSpillDir: dir, Faults: oneCrash,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +170,7 @@ func TestMemoSpillPreservesHits(t *testing.T) {
 		t.Errorf("spill file survived tree completion: %v", entries)
 	}
 
-	noSpill, err := Consensus(im, Options{Memoize: true, MemoBudget: 4, Faults: oneCrash})
+	noSpill, err := Consensus(im, Options{MemoBudget: 4, Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,5 +227,53 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 	}
 	if got, ok := sp.load([]byte("another")); !ok || got.nodes != sum.nodes {
 		t.Fatal("entry stored after a confined corruption did not round-trip")
+	}
+}
+
+// TestMaxDepthThroughMemoHits is the regression test for the memo-hit
+// budget hole: a memo hit used to return a cached subtree without checking
+// that it fits under MaxDepth from the depth of the new visit, so a budget
+// below the tree's depth D could still report wait-free. Both rows have
+// MaxDepth = D-1 and must trip the budget on the path a full tree walk
+// trips it on.
+func TestMaxDepthThroughMemoHits(t *testing.T) {
+	rows := []struct {
+		name     string
+		im       func() *program.Implementation
+		faults   faults.Model
+		maxDepth int
+		kind     ViolationKind
+	}{
+		{"weakleader2", consensus.WeakLeader2, faults.Model{}, 6, KindDepthExceeded},
+		{"casregister3 crash-recovery", consensus.CASRegister3, oneRecovery, 13, KindBlockedByRecoveryDivergence},
+	}
+	for _, r := range rows {
+		full, err := Consensus(r.im(), Options{Faults: r.faults, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !full.OK() || full.Depth != r.maxDepth+1 {
+			t.Fatalf("%s: unbounded run %s, want OK with D=%d", r.name, full.Summary(), r.maxDepth+1)
+		}
+		rep, err := Consensus(r.im(), Options{Faults: r.faults, Parallelism: 1, MaxDepth: r.maxDepth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := rep.Violation
+		if rep.WaitFree || v == nil || v.Kind != r.kind {
+			t.Fatalf("%s: MaxDepth %d gave %s (violation %+v), want %v", r.name, r.maxDepth, rep.Summary(), v, r.kind)
+		}
+		if rep.Depth != r.maxDepth {
+			t.Errorf("%s: depth %d, want %d", r.name, rep.Depth, r.maxDepth)
+		}
+		accesses := 0
+		for _, s := range v.Schedule {
+			if !s.Crash && !s.Recover {
+				accesses++
+			}
+		}
+		if accesses != r.maxDepth {
+			t.Errorf("%s: counterexample has %d accesses, want %d", r.name, accesses, r.maxDepth)
+		}
 	}
 }

@@ -21,29 +21,27 @@ func stripStats(r *ConsensusReport) *ConsensusReport {
 }
 
 // TestConsensusParallelMatchesSequential is the parity guarantee of
-// Options.Parallelism: on every corpus protocol — correct or violating,
-// memoized or not — the parallel report must be deep-equal to the
+// Options.Parallelism: on every corpus protocol — correct or violating —
+// the parallel report must be deep-equal to the
 // sequential one, including the Nodes/Leaves/MemoHits accounting (per-tree
 // memo tables make the counts a pure function of the implementation).
 func TestConsensusParallelMatchesSequential(t *testing.T) {
 	for _, im := range consensus.Corpus() {
-		for _, memoize := range []bool{false, true} {
-			seq, seqErr := Consensus(im, Options{Memoize: memoize, Parallelism: 1})
-			stripStats(seq)
-			for _, workers := range []int{0, 2, 4} {
-				par, parErr := Consensus(im, Options{Memoize: memoize, Parallelism: workers})
-				stripStats(par)
-				if (seqErr == nil) != (parErr == nil) {
-					t.Fatalf("%s memoize=%v workers=%d: error mismatch: %v vs %v",
-						im.Name, memoize, workers, seqErr, parErr)
-				}
-				if seqErr != nil {
-					continue
-				}
-				if !reflect.DeepEqual(seq, par) {
-					t.Errorf("%s memoize=%v workers=%d: report mismatch\nseq: %+v\npar: %+v",
-						im.Name, memoize, workers, seq, par)
-				}
+		seq, seqErr := Consensus(im, Options{Parallelism: 1})
+		stripStats(seq)
+		for _, workers := range []int{0, 2, 4} {
+			par, parErr := Consensus(im, Options{Parallelism: workers})
+			stripStats(par)
+			if (seqErr == nil) != (parErr == nil) {
+				t.Fatalf("%s workers=%d: error mismatch: %v vs %v",
+					im.Name, workers, seqErr, parErr)
+			}
+			if seqErr != nil {
+				continue
+			}
+			if !reflect.DeepEqual(seq, par) {
+				t.Errorf("%s workers=%d: report mismatch\nseq: %+v\npar: %+v",
+					im.Name, workers, seq, par)
 			}
 		}
 	}
@@ -53,11 +51,11 @@ func TestConsensusParallelMatchesSequential(t *testing.T) {
 // (k^n roots) the binary test misses.
 func TestConsensusKParallelMatchesSequential(t *testing.T) {
 	im := consensus.CAS(2)
-	seq, err := ConsensusK(im, 3, Options{Memoize: true, Parallelism: 1})
+	seq, err := ConsensusK(im, 3, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ConsensusK(im, 3, Options{Memoize: true, Parallelism: 3})
+	par, err := ConsensusK(im, 3, Options{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +98,7 @@ func TestErrorPathClearsGrayMarks(t *testing.T) {
 		{types.Propose(0)},
 		{types.Propose(1)},
 	}
-	e, root, err := newExplorer(im, scripts, Options{Memoize: true})
+	e, root, err := newExplorer(im, scripts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

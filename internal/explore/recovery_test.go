@@ -19,7 +19,7 @@ var oneRecovery = faults.Model{MaxCrashes: 1, Mode: faults.CrashRecovery, MaxRec
 // crash-recovery mode: with MaxRecoveries=0 a crashed process never comes
 // back, so the exploration must be exactly the crash-stop one — same
 // verdicts, same bounds, same node and leaf accounting — across the
-// corpus, memoized or not, sequential or parallel, with and without
+// corpus, sequential or parallel, with and without
 // symmetry reduction. Only the echoed fault model may differ (it names
 // the mode), so it is normalized before comparing.
 func TestCrashRecoveryZeroBudgetParity(t *testing.T) {
@@ -29,35 +29,30 @@ func TestCrashRecoveryZeroBudgetParity(t *testing.T) {
 		spinnerImpl(), soloDecideImpl(),
 	}
 	for _, im := range impls {
-		for _, memoize := range []bool{false, true} {
-			for _, sym := range []SymmetryMode{SymmetryOff, SymmetryAuto} {
-				for _, workers := range []int{1, 4} {
-					stop := Options{Memoize: memoize, Symmetry: sym, Parallelism: workers,
-						Faults: faults.Model{MaxCrashes: 1, Mode: faults.CrashStop}}
-					rec := stop
-					rec.Faults = faults.Model{MaxCrashes: 1, Mode: faults.CrashRecovery}
-					if !memoize {
-						stop.MaxDepth, rec.MaxDepth = 64, 64
-					}
-					a, aErr := Consensus(im, stop)
-					b, bErr := Consensus(im, rec)
-					if (aErr == nil) != (bErr == nil) {
-						t.Fatalf("%s memoize=%v sym=%v workers=%d: error mismatch: %v vs %v",
-							im.Name, memoize, sym, workers, aErr, bErr)
-					}
-					if aErr != nil {
-						continue
-					}
-					stripStats(a)
-					stripStats(b)
-					if a.Faults == nil || b.Faults == nil {
-						t.Fatalf("%s: report does not echo the fault model", im.Name)
-					}
-					a.Faults, b.Faults = nil, nil
-					if !reflect.DeepEqual(a, b) {
-						t.Errorf("%s memoize=%v sym=%v workers=%d: MaxRecoveries=0 diverges from crash-stop\nstop:     %+v\nrecovery: %+v",
-							im.Name, memoize, sym, workers, a, b)
-					}
+		for _, sym := range []SymmetryMode{SymmetryOff, SymmetryAuto} {
+			for _, workers := range []int{1, 4} {
+				stop := Options{Symmetry: sym, Parallelism: workers,
+					Faults: faults.Model{MaxCrashes: 1, Mode: faults.CrashStop}}
+				rec := stop
+				rec.Faults = faults.Model{MaxCrashes: 1, Mode: faults.CrashRecovery}
+				a, aErr := Consensus(im, stop)
+				b, bErr := Consensus(im, rec)
+				if (aErr == nil) != (bErr == nil) {
+					t.Fatalf("%s sym=%v workers=%d: error mismatch: %v vs %v",
+						im.Name, sym, workers, aErr, bErr)
+				}
+				if aErr != nil {
+					continue
+				}
+				stripStats(a)
+				stripStats(b)
+				if a.Faults == nil || b.Faults == nil {
+					t.Fatalf("%s: report does not echo the fault model", im.Name)
+				}
+				a.Faults, b.Faults = nil, nil
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("%s sym=%v workers=%d: MaxRecoveries=0 diverges from crash-stop\nstop:     %+v\nrecovery: %+v",
+						im.Name, sym, workers, a, b)
 				}
 			}
 		}
@@ -71,11 +66,11 @@ func TestCrashRecoveryZeroBudgetParity(t *testing.T) {
 // is still explored, plus every recovery continuation).
 func TestRecoveryFindsMoreBehavior(t *testing.T) {
 	im := consensus.TAS2()
-	stop, err := Consensus(im, Options{Memoize: true, Faults: oneCrash})
+	stop, err := Consensus(im, Options{Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Consensus(im, Options{Memoize: true, Faults: oneRecovery})
+	rec, err := Consensus(im, Options{Faults: oneRecovery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +100,7 @@ func TestRecoveryFindsMoreBehavior(t *testing.T) {
 // schedule, and the kind must name the recovery.
 func TestDecisionChangedAfterRecoveryCounterexample(t *testing.T) {
 	im := consensus.NaiveRegister2()
-	rep, err := Consensus(im, Options{Memoize: true, Faults: oneRecovery})
+	rep, err := Consensus(im, Options{Faults: oneRecovery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +195,7 @@ func TestRecoveryDivergenceCounterexample(t *testing.T) {
 
 	// Contrast first: correct without recoveries, in both prior modes.
 	for _, fm := range []faults.Model{{}, oneCrash} {
-		rep, err := Consensus(im, Options{Memoize: true, Faults: fm})
+		rep, err := Consensus(im, Options{Faults: fm})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +204,7 @@ func TestRecoveryDivergenceCounterexample(t *testing.T) {
 		}
 	}
 
-	rep, err := Consensus(im, Options{Memoize: true, Faults: oneRecovery})
+	rep, err := Consensus(im, Options{Faults: oneRecovery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +223,15 @@ func TestRecoveryDivergenceCounterexample(t *testing.T) {
 		t.Fatalf("counterexample schedule lacks the recovery:\n%s", FormatSchedule(v.Schedule))
 	}
 
-	// Depth-bounded analogue: no cycle detection, the budget trips instead.
-	rep, err = Consensus(im, Options{MaxDepth: 32, Faults: oneRecovery})
+	// Depth-bounded analogue: with access counters on the objects no
+	// configuration repeats, so the budget trips instead of the cycle check.
+	rep, err = Consensus(countingImpl(im), Options{MaxDepth: 32, Faults: oneRecovery})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := rep.Violation; v == nil || v.Kind != KindBlockedByRecoveryDivergence {
-		t.Fatalf("depth-bounded violation = %+v, want KindBlockedByRecoveryDivergence", rep.Violation)
+	if v := rep.Violation; v == nil || v.Kind != KindBlockedByRecoveryDivergence ||
+		!strings.Contains(v.Detail, "object accesses") {
+		t.Fatalf("depth-bounded violation = %+v, want KindBlockedByRecoveryDivergence by budget", rep.Violation)
 	}
 }
 

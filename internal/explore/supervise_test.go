@@ -8,6 +8,7 @@ import (
 
 	"waitfree/internal/consensus"
 	"waitfree/internal/program"
+	"waitfree/internal/testgate"
 	"waitfree/internal/types"
 )
 
@@ -17,7 +18,7 @@ import (
 // budget — to a report deep-equal to an uninterrupted run's.
 func TestConsensusMaxNodesPartial(t *testing.T) {
 	im := consensus.CASRegister3()
-	base := Options{Memoize: true, Parallelism: 1}
+	base := Options{Parallelism: 1}
 
 	// MaxNodes bounds configurations the engine ENTERS; memo hits replay
 	// whole subtrees without entering them, so the budget must sit under
@@ -71,19 +72,26 @@ func TestConsensusMaxNodesPartial(t *testing.T) {
 // valid resume point, and the run's own report is untouched by the
 // autosaving.
 func TestConsensusAutosave(t *testing.T) {
-	im := consensus.CASRegister3()
+	plain := consensus.CASRegister3()
+	// The single worker blocks at the first Start call of tree 2 until an
+	// autosave holding trees 0 and 1 has been published, so the run is
+	// mid-flight when the supervisor saves, however fast the machine.
+	gate := testgate.New(int64(plain.Procs)*2 + 1)
+	im := gate.Wrap(plain)
 	var saves int
 	var last *Checkpoint
 	opts := Options{
-		Memoize:     true,
 		Parallelism: 1,
-		// 1ms against ~25ms/tree guarantees mid-run saves; OnCheckpoint is
-		// called from the supervisor goroutine, which is joined before
-		// ConsensusKContext returns, so reading saves/last below is safe.
+		// OnCheckpoint is called from the supervisor goroutine, which is
+		// joined before ConsensusKContext returns, so reading saves/last
+		// below is safe.
 		CheckpointEvery: time.Millisecond,
 		OnCheckpoint: func(cp *Checkpoint) {
 			saves++
 			last = cp
+			if len(cp.Trees) == 2 {
+				gate.Release()
+			}
 		},
 	}
 	rep, err := Consensus(im, opts)
@@ -94,24 +102,24 @@ func TestConsensusAutosave(t *testing.T) {
 		t.Fatalf("autosaving changed the verdict: %s", rep.Summary())
 	}
 	if saves == 0 || last == nil {
-		t.Fatal("no autosave was published during a ~200ms run")
+		t.Fatal("no autosave was published while the run was held mid-flight")
 	}
 	if last.Impl != im.Name || len(last.Trees) > last.Roots {
 		t.Fatalf("autosaved checkpoint malformed: %v", last)
 	}
 
 	// The last mid-run snapshot must be a sound resume point.
-	resumed, err := Consensus(im, Options{Memoize: true, ResumeFrom: last})
+	resumed, err := Consensus(im, Options{ResumeFrom: last})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Consensus(im, Options{Memoize: true})
+	whole, err := Consensus(im, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripStats(resumed), stripStats(plain)) {
-		t.Errorf("resume from autosaved checkpoint differs from uninterrupted run\nresumed: %+v\nplain:   %+v",
-			resumed, plain)
+	if !reflect.DeepEqual(stripStats(resumed), stripStats(whole)) {
+		t.Errorf("resume from autosaved checkpoint differs from uninterrupted run\nresumed: %+v\nwhole:   %+v",
+			resumed, whole)
 	}
 }
 

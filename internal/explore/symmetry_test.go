@@ -64,28 +64,26 @@ func TestSymmetric(t *testing.T) {
 }
 
 // TestSymmetryParityCorpus is the acceptance gate of the reduction: on
-// every corpus protocol — symmetric or not, correct or violating, memoized
-// or not, at every parallelism level — SymmetryAuto must produce a report
-// deep-equal to the unreduced run. Only Stats (observational) is excluded.
+// every corpus protocol — symmetric or not, correct or violating, at
+// every parallelism level — SymmetryAuto must produce a report deep-equal
+// to the unreduced run. Only Stats (observational) is excluded.
 func TestSymmetryParityCorpus(t *testing.T) {
 	for _, im := range consensus.Corpus() {
-		for _, memoize := range []bool{false, true} {
-			base, baseErr := Consensus(im, Options{Memoize: memoize, Parallelism: 1})
-			stripStats(base)
-			for _, workers := range []int{1, 2, 0} {
-				red, redErr := Consensus(im, Options{Memoize: memoize, Parallelism: workers, Symmetry: SymmetryAuto})
-				stripStats(red)
-				if (baseErr == nil) != (redErr == nil) {
-					t.Fatalf("%s memoize=%v workers=%d: error mismatch: %v vs %v",
-						im.Name, memoize, workers, baseErr, redErr)
-				}
-				if baseErr != nil {
-					continue
-				}
-				if !reflect.DeepEqual(base, red) {
-					t.Errorf("%s memoize=%v workers=%d: symmetry changed the report\nbase: %+v\nred:  %+v",
-						im.Name, memoize, workers, base, red)
-				}
+		base, baseErr := Consensus(im, Options{Parallelism: 1})
+		stripStats(base)
+		for _, workers := range []int{1, 2, 0} {
+			red, redErr := Consensus(im, Options{Parallelism: workers, Symmetry: SymmetryAuto})
+			stripStats(red)
+			if (baseErr == nil) != (redErr == nil) {
+				t.Fatalf("%s workers=%d: error mismatch: %v vs %v",
+					im.Name, workers, baseErr, redErr)
+			}
+			if baseErr != nil {
+				continue
+			}
+			if !reflect.DeepEqual(base, red) {
+				t.Errorf("%s workers=%d: symmetry changed the report\nbase: %+v\nred:  %+v",
+					im.Name, workers, base, red)
 			}
 		}
 	}
@@ -98,11 +96,11 @@ func TestSymmetryParityCorpus(t *testing.T) {
 // violating run too: the merge must stop at the same mask either way.
 func TestSymmetryKParity(t *testing.T) {
 	im := consensus.CAS(2)
-	base, err := ConsensusK(im, 3, Options{Memoize: true})
+	base, err := ConsensusK(im, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := ConsensusK(im, 3, Options{Memoize: true, Symmetry: SymmetryRequire})
+	red, err := ConsensusK(im, 3, Options{Symmetry: SymmetryRequire})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +153,7 @@ func TestSymmetryModes(t *testing.T) {
 		t.Errorf("Require on TAS2: err = %v, want ErrNotSymmetric", err)
 	}
 	// A memo budget makes MemoHits traversal-order dependent: excluded.
-	if _, err := Consensus(consensus.CAS(3), Options{Memoize: true, MemoBudget: 8, Symmetry: SymmetryRequire}); !errors.Is(err, ErrNotSymmetric) {
+	if _, err := Consensus(consensus.CAS(3), Options{MemoBudget: 8, Symmetry: SymmetryRequire}); !errors.Is(err, ErrNotSymmetric) {
 		t.Errorf("Require with MemoBudget: err = %v, want ErrNotSymmetric", err)
 	}
 	base, err := Consensus(consensus.TAS2(), Options{})
@@ -282,7 +280,7 @@ func TestSymmetryFaultsParity(t *testing.T) {
 // maps, reach the unreduced report, and explore only the singleton orbits.
 func TestSymmetryResumeFromMemberTrees(t *testing.T) {
 	im := consensus.Sticky(3)
-	opts := Options{Memoize: true}
+	opts := Options{}
 	base, err := Consensus(im, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ import (
 // keyMagic versions the key derivation itself: bump it whenever the
 // encoding below (or the semantics of any pipeline it covers) changes, so
 // stale entries miss instead of serving wrong verdicts.
-const keyMagic = "wfkey2"
+const keyMagic = "wfkey3"
 
 // Key is the SHA-256 content address of a request.
 type Key [sha256.Size]byte
@@ -264,19 +264,17 @@ func effectivePort(o synth.Object, p int) int {
 }
 
 // appendExplore appends the verdict-relevant exploration options. MaxDepth
-// caps every path (its default is part of the verdict); Memoize changes
-// the reported MemoHits counter; an enabled fault model changes every
-// verdict. Parallelism, symmetry reduction, progress hooks, checkpoint
-// hooks, and the soft stops (MaxNodes, StallAfter, deadlines) are all
-// excluded: completed reports are identical across them, and runs they cut
-// short are Partial and never stored.
+// caps every path (its default is part of the verdict); an enabled fault
+// model changes every verdict. Parallelism, symmetry reduction, progress
+// hooks, checkpoint hooks, and the soft stops (MaxNodes, StallAfter,
+// deadlines) are all excluded: completed reports are identical across
+// them, and runs they cut short are Partial and never stored.
 func appendExplore(b []byte, o explore.Options) []byte {
 	depth := o.MaxDepth
 	if depth == 0 {
 		depth = explore.DefaultMaxDepth
 	}
 	b = appendInt(b, int64(depth))
-	b = appendBool(b, o.Memoize)
 	if o.Faults.Enabled() {
 		b = append(b, 1)
 		b = appendInt(b, int64(o.Faults.MaxCrashes))

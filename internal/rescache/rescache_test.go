@@ -42,9 +42,9 @@ func TestRequestKeySeparates(t *testing.T) {
 		"other impl":   mustKey(t, consensusSpec(consensus.Sticky(3), 2)),
 		"other values": mustKey(t, consensusSpec(consensus.CAS(3), 3)),
 		"other kind":   mustKey(t, KeySpec{Kind: "bound", Implementation: consensus.CAS(3)}),
-		"memoized": mustKey(t, KeySpec{
+		"other depth budget": mustKey(t, KeySpec{
 			Kind: "consensus", Values: 2, Implementation: consensus.CAS(3),
-			Explore: explore.Options{Memoize: true},
+			Explore: explore.Options{MaxDepth: 64},
 		}),
 		"crash-stop faults": mustKey(t, KeySpec{
 			Kind: "consensus", Values: 2, Implementation: consensus.CAS(3),

@@ -261,7 +261,8 @@ func NewToken(procs int, seed int64, crashAt map[int]int) *Token {
 // Next implements Scheduler.
 func (t *Token) Next(p int) bool {
 	t.mu.Lock()
-	if limit, crashes := t.crashAt[p]; crashes && t.steps[p] >= limit {
+	if limit, crashes := t.crashAt[p]; t.stopped || crashes && t.steps[p] >= limit {
+		// A stopped dispatcher grants nothing: parking would block forever.
 		t.mu.Unlock()
 		return false
 	}

@@ -191,4 +191,8 @@ func TestTokenStopReleasesWaiters(t *testing.T) {
 	if got := <-done; got {
 		t.Error("stopped scheduler granted a step")
 	}
+	// A Next that arrives after Stop must not park forever.
+	if tok.Next(1) {
+		t.Error("stopped scheduler granted a late step")
+	}
 }

@@ -238,6 +238,11 @@ func (s *Server) Drain(ctx context.Context) error {
 // Draining reports whether the server has begun shutting down.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
+// gateRequest, when a test sets it, rewrites each job's compiled request
+// just before it runs; ctx is the job's run context. Tests use it to hold
+// an exploration mid-run until they have seen a cancel, drain or deadline.
+var gateRequest func(ctx context.Context, req *waitfree.Request)
+
 // runJob executes one job end to end on a pool worker.
 func (s *Server) runJob(j *Job) {
 	if s.draining.Load() {
@@ -313,6 +318,9 @@ func (s *Server) runJob(j *Job) {
 	j.hub.publish(Event{Type: "state", Data: mustJSON(j.view())})
 	s.opts.Logf("job %s: running (%s %s)", j.id, j.wire.Kind, j.wire.Protocol)
 
+	if gateRequest != nil {
+		gateRequest(ctx, &req)
+	}
 	rep, err := waitfree.Check(ctx, req)
 
 	if err != nil && errors.Is(err, context.Canceled) {

@@ -10,12 +10,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"waitfree"
 	"waitfree/internal/explore"
 	"waitfree/internal/faults"
+	"waitfree/internal/testgate"
 )
 
 // newTestServer boots a server plus an httptest front end.
@@ -42,6 +44,25 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 		}
 	})
 	return srv, ts
+}
+
+// holdJobs holds job explorations mid-run: from the at-th machine Start
+// call on (see testgate.Gate), a job's exploration blocks until the job's
+// context ends — by cancel, drain or deadline — so a test observes the
+// job running however fast the machine is. With once set only the first
+// job run is held. Tests that hold jobs must not run in parallel.
+func holdJobs(t *testing.T, at int64, once bool) {
+	t.Helper()
+	var held atomic.Bool
+	gateRequest = func(ctx context.Context, req *waitfree.Request) {
+		if once && held.Swap(true) {
+			return
+		}
+		g := testgate.New(at)
+		g.ReleaseOn(ctx.Done())
+		req.Implementation = g.Wrap(req.Implementation)
+	}
+	t.Cleanup(func() { gateRequest = nil })
 }
 
 func submitJob(t *testing.T, ts *httptest.Server, body string) *JobView {
@@ -264,12 +285,12 @@ func readSSE(t *testing.T, ts *httptest.Server, id string, timeout time.Duration
 	return nil
 }
 
-// TestSSEStreamAndCancel subscribes to a long job's event stream, sees
+// TestSSEStreamAndCancel subscribes to a held job's event stream, sees
 // live progress, cancels mid-run over the API, and receives the terminal
 // done event carrying the cancelled state.
 func TestSSEStreamAndCancel(t *testing.T) {
+	holdJobs(t, 1, false)
 	_, ts := newTestServer(t, Options{Workers: 1, DataDir: t.TempDir(), CheckpointEvery: 20 * time.Millisecond})
-	// ~seconds of work: plenty of time to observe it mid-flight.
 	v := submitJob(t, ts, `{"api":"v1","kind":"consensus","protocol":"sticky","procs":5,"explore":{"symmetry":"off"}}`)
 
 	done := make(chan []sseEvent, 1)
@@ -329,6 +350,7 @@ func newRequest(ts *httptest.Server, method, path string) (*http.Response, error
 // queue refuses with queue_full, a draining server with draining, and
 // drain returns the running job to queued.
 func TestPoolSaturationAndDrain(t *testing.T) {
+	holdJobs(t, 1, false)
 	srv, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	slow := `{"api":"v1","kind":"consensus","protocol":"sticky","procs":5,"explore":{"symmetry":"off"}}`
 
@@ -380,6 +402,9 @@ func TestPoolSaturationAndDrain(t *testing.T) {
 // survives a daemon drain + restart, resumes from its durable checkpoint,
 // and its final report is byte-identical to a direct waitfree.Check run.
 func TestDrainResumeByteIdentical(t *testing.T) {
+	// Hold the first run from tree 4's root on (sticky/5 starts five
+	// processes per tree) until the drain; the resumed run is not held.
+	holdJobs(t, 5*4+1, true)
 	dir := t.TempDir()
 	opts := Options{Workers: 1, DataDir: dir, CheckpointEvery: 20 * time.Millisecond}
 	srv, err := New(opts)
@@ -496,6 +521,40 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCacheHitViolationReport repeats a job whose report carries a
+// violation: the stored report must decode (its violation kind included)
+// and serve the repeat as a hit. The repeat also sets memoize, which the
+// engine ignores, so it shares the first job's key.
+func TestCacheHitViolationReport(t *testing.T) {
+	cache, err := waitfree.OpenCache(waitfree.CacheOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Options{Workers: 1, Cache: cache})
+	var reports [][]byte
+	for _, body := range []string{
+		`{"api":"v1","kind":"consensus","protocol":"naive"}`,
+		`{"api":"v1","kind":"consensus","protocol":"naive","explore":{"memoize":true}}`,
+	} {
+		v := waitJob(t, ts, submitJob(t, ts, body).ID, 2*time.Minute, terminal)
+		if v.State != JobDone || v.OK == nil || *v.OK {
+			t.Fatalf("%s: state %s ok %v, error %+v; want done/false", body, v.State, v.OK, v.Error)
+		}
+		if !strings.Contains(string(v.Report), `"violation":{"kind":"leaf-reject"`) {
+			t.Fatalf("%s: report carries no violation: %s", body, v.Report)
+		}
+		reports = append(reports, v.Report)
+	}
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Errorf("cache hit is not byte-identical.\nfirst:  %s\nsecond: %s", reports[0], reports[1])
+	}
+	// A stored report that fails to decode is re-run and stored again,
+	// so one store is the proof the repeat was served from the cache.
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 || st.Stores != 1 || st.Errors != 0 {
+		t.Errorf("cache stats %+v, want 1 miss, 1 store, then 1 hit", st)
+	}
+}
+
 // TestProtocolsEndpoint pins discovery: the wire registry names resolve.
 func TestProtocolsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
@@ -595,14 +654,15 @@ func TestCrashRecoveryJobOverTheWire(t *testing.T) {
 // retained; a request above Options.MaxTimeout is clamped, not rejected;
 // and a non-resumable kind fails with the deadline taxonomy code.
 func TestJobDeadline(t *testing.T) {
+	// Every job is held until its deadline expires, so each termination
+	// below is the deadline machinery, not natural completion.
+	holdJobs(t, 1, false)
 	_, ts := newTestServer(t, Options{
 		Workers:         1,
 		DataDir:         t.TempDir(),
 		CheckpointEvery: 10 * time.Millisecond,
 		MaxTimeout:      300 * time.Millisecond,
 	})
-	// ~seconds of uninterrupted work, so any prompt termination below is
-	// the deadline machinery, not natural completion.
 	slow := `"kind":"consensus","protocol":"sticky","procs":5,"explore":{"symmetry":"off"}`
 
 	check := func(name string, v *JobView) {

@@ -12,7 +12,7 @@
 // field:
 //
 //	{"api": "v1", "kind": "consensus", "protocol": "cas", "procs": 4,
-//	 "explore": {"memoize": true, "symmetry": "auto"}}
+//	 "explore": {"symmetry": "auto"}}
 //
 // See DESIGN.md section 11 for the full schema and the job lifecycle.
 package server
@@ -75,7 +75,9 @@ type WireRequest struct {
 type WireExplore struct {
 	// MaxDepth is the per-path access budget (0 = the engine default).
 	MaxDepth int `json:"max_depth,omitempty"`
-	// Memoize deduplicates configurations.
+	// Memoize is accepted and ignored: the engine always memoizes. It
+	// stays in the schema so requests that set it still decode under
+	// DisallowUnknownFields.
 	Memoize bool `json:"memoize,omitempty"`
 	// Parallelism bounds the engine's worker goroutines (0 = GOMAXPROCS).
 	Parallelism int `json:"parallelism,omitempty"`
@@ -284,7 +286,6 @@ func compileExplore(w WireExplore) (waitfree.ExploreOptions, error) {
 		return o, badRequest("negative explore option")
 	}
 	o.MaxDepth = w.MaxDepth
-	o.Memoize = w.Memoize
 	o.Parallelism = w.Parallelism
 	o.MaxNodes = w.MaxNodes
 	o.StallAfter = time.Duration(w.StallAfterMS) * time.Millisecond

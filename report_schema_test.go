@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"waitfree/internal/explore"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -27,7 +29,7 @@ func TestReportGoldenV1(t *testing.T) {
 	rep, err := Check(context.Background(), Request{
 		Kind:           KindConsensus,
 		Implementation: im,
-		Explore:        ExploreOptions{Memoize: true, Parallelism: 1},
+		Explore:        ExploreOptions{Parallelism: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +104,59 @@ func TestDecodeReportRejects(t *testing.T) {
 	for _, c := range cases {
 		if _, err := DecodeReport([]byte(c.data)); !errors.Is(err, ErrBadReport) {
 			t.Errorf("%s: got %v, want ErrBadReport", c.name, err)
+		}
+	}
+}
+
+// TestDecodeReportViolationKinds round-trips a violating report through
+// DecodeReport once per violation kind, byte-identically, and checks that
+// an unknown kind tag is rejected with ErrBadReport rather than decoded as
+// a zero kind.
+func TestDecodeReportViolationKinds(t *testing.T) {
+	im, err := BuildProtocol("naive", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Check(context.Background(), Request{Kind: KindConsensus, Implementation: im})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Canonicalize()
+	if rep.Consensus == nil || rep.Consensus.Violation == nil {
+		t.Fatal("naive protocol produced no violation")
+	}
+	for kind := explore.KindDepthExceeded; kind <= explore.KindDecisionChangedAfterRecovery; kind++ {
+		rep.Consensus.Violation.Kind = kind
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeReport(data)
+		if err != nil {
+			t.Fatalf("%v: DecodeReport: %v", kind, err)
+		}
+		if got := back.Consensus.Violation.Kind; got != kind {
+			t.Errorf("%v: decoded as %v", kind, got)
+		}
+		re, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, re) {
+			t.Errorf("%v: marshal → DecodeReport → marshal is not byte-identical", kind)
+		}
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range []string{`"mystery"`, `"unknown"`, `""`, `3`} {
+		bad := bytes.Replace(data, []byte(`"kind":"decision-changed-after-recovery"`), []byte(`"kind":`+tag), 1)
+		if bytes.Equal(bad, data) {
+			t.Fatal("violation kind tag not found in the encoded report")
+		}
+		if _, err := DecodeReport(bad); !errors.Is(err, ErrBadReport) {
+			t.Errorf("kind %s: got %v, want ErrBadReport", tag, err)
 		}
 	}
 }

@@ -43,7 +43,7 @@ func TestFacadeCheckConsensus(t *testing.T) {
 
 func TestFacadeCheckConsensusK(t *testing.T) {
 	report, err := waitfree.CheckConsensusK(
-		waitfree.MultiValuedConsensus(2, 3), 3, waitfree.ExploreOptions{Memoize: true})
+		waitfree.MultiValuedConsensus(2, 3), 3, waitfree.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFacadeVia53(t *testing.T) {
 }
 
 func TestFacadeFetchCons(t *testing.T) {
-	report, err := waitfree.CheckConsensus(waitfree.FetchConsConsensus(3), waitfree.ExploreOptions{Memoize: true})
+	report, err := waitfree.CheckConsensus(waitfree.FetchConsConsensus(3), waitfree.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
