@@ -181,6 +181,30 @@ func BenchmarkExplorerParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkExplorerSticky6 is the explorer's per-node cost on its largest
+// routine workload: sticky/6 with symmetry off on one worker, 64 trees
+// and about 337k entered configurations, where the memo table, the
+// transition and step caches and the arenas dominate. ns/node is the
+// wall time per entered configuration.
+func BenchmarkExplorerSticky6(b *testing.B) {
+	im := consensus.Sticky(6)
+	opts := explore.Options{Symmetry: explore.SymmetryOff, Parallelism: 1}
+	b.ReportAllocs()
+	var nodes int64
+	for i := 0; i < b.N; i++ {
+		report, err := explore.Consensus(im, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !report.OK() {
+			b.Fatal(report.Summary())
+		}
+		nodes = report.Stats.Nodes
+	}
+	b.ReportMetric(float64(nodes), "explored-nodes")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*nodes), "ns/node")
+}
+
 // BenchmarkConsensusSymmetry sweeps symmetry reduction across process
 // counts on the register-free n-process protocols: 2^n trees collapse to
 // n+1 orbits, so the off/auto ratio approaches n!/(n+1)-fold less tree

@@ -273,7 +273,7 @@ type cachedTrans struct {
 // cache key reuses the object's already-encoded state segment, so a hit —
 // the overwhelmingly common case, since reachable (state, port, inv)
 // triples are few (bounded by one component's state count, not the
-// configuration count) — costs one map probe and zero allocations,
+// configuration count) — costs one hash, one probe and zero allocations,
 // skipping the user Step function, its per-call []Transition, and the
 // successor-segment encodings. Soundness rests on the same contracts the
 // memoizer already assumes: Spec.Step is pure and segment encoding is
@@ -287,8 +287,11 @@ func (e *explorer) applyCached(c *config, p int, act program.Action) ([]cachedTr
 	b = binary.AppendVarint(b, int64(port))
 	b = appendInvocation(b, act.Inv)
 	e.transScratch = b
-	if ts, ok := e.transCache[string(b)]; ok {
-		return ts, nil
+	h := e.transIdx.hash(b)
+	id, slot := e.transIdx.find(b, h)
+	if id >= 0 {
+		e.pendTransHits++
+		return e.transVals[id], nil
 	}
 	ts, err := decl.Spec.Apply(c.objs[act.Obj], port, act.Inv)
 	if err != nil {
@@ -298,10 +301,8 @@ func (e *explorer) applyCached(c *config, p int, act program.Action) ([]cachedTr
 	for i, t := range ts {
 		cts[i] = cachedTrans{next: t.Next, resp: t.Resp, nextEnc: e.encodeObjSeg(t.Next)}
 	}
-	if e.transCache == nil {
-		e.transCache = make(map[string][]cachedTrans)
-	}
-	e.transCache[string(b)] = cts
+	e.transIdx.insert(b, h, slot) // the next dense id: len(e.transVals)
+	e.transVals = append(e.transVals, cts)
 	return cts, nil
 }
 
@@ -342,7 +343,11 @@ func (e *explorer) stepProcCached(c *config, p int, resp types.Response, forced 
 	b = append(b, c.procEnc[p]...)
 	b = appendResponse(b, resp)
 	e.stepScratch = b
-	if st, ok := e.stepCache[string(b)]; ok {
+	h := e.stepIdx.hash(b)
+	id, slot := e.stepIdx.find(b, h)
+	if id >= 0 {
+		e.pendStepHits++
+		st := &e.stepVals[id]
 		c.procs[p] = st.ps
 		c.procEnc[p] = st.enc
 		e.responses[p] = append(e.responses[p], st.resps...)
@@ -358,10 +363,8 @@ func (e *explorer) stepProcCached(c *config, p int, resp types.Response, forced 
 	if n := len(e.responses[p]) - mark; n > 0 {
 		st.resps = append([]types.Response(nil), e.responses[p][mark:]...)
 	}
-	if e.stepCache == nil {
-		e.stepCache = make(map[string]procStep)
-	}
-	e.stepCache[string(b)] = st
+	e.stepIdx.insert(b, h, slot) // the next dense id: len(e.stepVals)
+	e.stepVals = append(e.stepVals, st)
 	return nil
 }
 

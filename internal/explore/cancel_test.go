@@ -43,7 +43,10 @@ func waitForGoroutines(t *testing.T, base int) {
 // progress tick), every worker goroutine exits, and the final Stats
 // snapshot — published after the workers stop — is internally consistent.
 // A gate holds every worker at its first tree's root until the cancel has
-// happened, so the run is mid-flight when it arrives.
+// happened, so the run is mid-flight when it arrives, and the cancel waits
+// until a worker has reached the gate, so the run has started: that
+// worker enters its tree's root once released, and the final snapshot
+// counts it.
 func TestConsensusCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		gate := testgate.New(1)
@@ -61,6 +64,11 @@ func TestConsensusCancellation(t *testing.T) {
 				// snapshot is published before ConsensusKContext returns,
 				// so the main goroutine reads `last` happens-after.
 				last = s
+				select {
+				case <-gate.Reached():
+				default:
+					return // no worker has started a tree yet
+				}
 				if cancelled.IsZero() {
 					cancelled = time.Now()
 					cancel()
@@ -127,7 +135,11 @@ func TestConsensusPreCancelled(t *testing.T) {
 // report with Partial set, a Coverage block naming the deadline, and a
 // resumable checkpoint (explicit cancellation stays the hard error path,
 // see TestConsensusCancellation). A gate holds the single worker at the
-// first tree's root until the deadline has expired.
+// first tree's root until the deadline has expired. The first tree (about
+// 200 configurations, below flushEvery) may then finish, but the worker
+// claims no further tree: it checks the caller's context itself, which
+// has expired by the time ctx.Done() releases the gate, instead of only
+// the engine's derived run context, whose cancellation follows later.
 func TestConsensusDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()

@@ -373,7 +373,11 @@ func ConsensusKContext(ctx context.Context, im *program.Implementation, k int, o
 			defer wg.Done()
 			defer ctr.claimBeat(widx, -1)
 			for {
-				if runCtx.Err() != nil {
+				// The caller's ctx is checked as well as runCtx: its
+				// cancellation reaches runCtx only after ctx.Done() has
+				// closed, and a worker that saw ctx.Done() close must not
+				// claim another tree in that window.
+				if runCtx.Err() != nil || ctx.Err() != nil {
 					return
 				}
 				idx := int(next.Add(1) - 1)

@@ -437,16 +437,10 @@ type summary struct {
 	leaves int64
 	acc    []int32
 
-	// Memo-table bookkeeping (never part of the aggregate): ref is the
-	// second-chance bit a lookup sets and eviction clears; retained marks a
-	// summary owned by the memo (put sets it — recycleSummary must never
-	// take one); spilled marks a summary already written to the spill tier,
-	// so a re-eviction after a spill load never rewrites it. ref is only
-	// touched under the owning shard's lock and never on the shared
-	// grayMark sentinel.
-	ref      bool
+	// retained marks a summary owned by the memo (store sets it;
+	// recycleSummary must never take one). The memo's own bookkeeping —
+	// second-chance bit, spill flag — lives in its entries (memoEntry).
 	retained bool
-	spilled  bool
 }
 
 // procState is one process's part of a configuration. All fields are
@@ -663,10 +657,10 @@ func (e *explorer) flushMemoCounters() {
 	if e.ctr == nil || e.memo == nil {
 		return
 	}
-	if n := e.memo.evictions.Load(); n != 0 {
+	if n := e.memo.evictions; n != 0 {
 		e.ctr.memoEvictions.Add(n)
 	}
-	if n := e.memo.spilled.Load(); n != 0 {
+	if n := e.memo.spilled; n != 0 {
 		e.ctr.memoSpilled.Add(n)
 	}
 	if sp := e.memo.spill; sp != nil {
@@ -697,14 +691,16 @@ type explorer struct {
 	ctr  *counters
 	widx int
 
-	pendNodes  int64
-	pendLeaves int64
-	pendMemo   int64
-	sinceFlush int
+	pendNodes     int64
+	pendLeaves    int64
+	pendMemo      int64
+	pendTransHits int64
+	pendStepHits  int64
+	sinceFlush    int
 
-	// memo deduplicates configurations; entries holding grayMark are on
-	// the current DFS stack (cycle detection). It is nil under
-	// RecordHistory. enc renders configurations into the memo's byte keys.
+	// memo deduplicates configurations; its gray entries are the current
+	// DFS stack (cycle detection). It is nil under RecordHistory. enc
+	// renders configurations into the memo's byte keys.
 	memo     *memoTable
 	enc      *keyEncoder
 	memoHits int64
@@ -728,20 +724,23 @@ type explorer struct {
 	freeSums   []*summary
 	freeCfgs   []*config
 
-	// transCache memoizes Spec.Apply results on the flat path, keyed by
-	// (object, encoded state segment, port, invocation); stepCache does
-	// the same for startNextOp, keyed by (process, encoded pre-state
-	// segment, response). Sound because Spec.Step and machines are
-	// documented as deterministic pure functions (the same contract
-	// Parallelism > 1 relies on) and the segment encodings are injective
-	// per encoder; together they turn the per-edge user-code calls, their
-	// allocations, and the successor segment encodings into no-alloc map
-	// hits. Both are bounded by per-component state counts — roots of the
-	// configuration count the memo table holds — so they stay negligible
-	// even under MemoBudget.
-	transCache   map[string][]cachedTrans
+	// The transition cache memoizes Spec.Apply results on the flat path,
+	// keyed by (object, encoded state segment, port, invocation); the step
+	// cache does the same for startNextOp, keyed by (process, encoded
+	// pre-state segment, response). Each is a keyIndex over the key bytes
+	// with its values in a slice at the index's ids. Sound because
+	// Spec.Step and machines are documented as deterministic pure
+	// functions (the same contract Parallelism > 1 relies on) and the
+	// segment encodings are injective per encoder; together they turn the
+	// per-edge user-code calls, their allocations, and the successor
+	// segment encodings into no-alloc index hits. Both are bounded by
+	// per-component state counts — roots of the configuration count the
+	// memo table holds — so they stay negligible even under MemoBudget.
+	transIdx     keyIndex
+	transVals    [][]cachedTrans
 	transScratch []byte
-	stepCache    map[string]procStep
+	stepIdx      keyIndex
+	stepVals     []procStep
 	stepScratch  []byte
 
 	// beatEnc renders heartbeat config keys when the stall watchdog is
@@ -940,9 +939,10 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 		// RecordHistory: every path is explored in full.
 		return sum, e.expand(c, depth, sum, crashes, recoveries)
 	}
-	kb := e.flatKey(c)
-	if cached, ok := e.memo.get(kb); ok {
-		if cached == grayMark {
+	cached, id, found := e.memo.lookup(e.flatKey(c))
+	if found {
+		if cached == nil {
+			// A gray entry: the configuration is on the current DFS stack.
 			switch {
 			case recoveries > 0:
 				e.violate(KindBlockedByRecoveryDivergence,
@@ -969,17 +969,16 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 		e.recycleSummary(sum) // fresh, nothing merged: reuse it
 		return cached, nil
 	}
-	key := string(kb) // retain: kb is invalidated by child encodings
-	e.memo.put(key, grayMark)
 
-	// All error returns below must clear the gray mark, or a later visit
-	// of this configuration would report a phantom cycle; expand has a
-	// single exit so the cleanup cannot be skipped by any error path.
+	// The configuration is now gray under entry id. All error returns
+	// below must clear it, or a later visit of this configuration would
+	// report a phantom cycle; expand has a single exit so the cleanup
+	// cannot be skipped by any error path.
 	err := e.expand(c, depth, sum, crashes, recoveries)
 	if err != nil {
-		e.memo.drop(key)
+		e.memo.drop(id)
 	} else {
-		e.memo.put(key, sum)
+		e.memo.store(id, sum)
 	}
 	return sum, err
 }
@@ -1308,10 +1307,22 @@ func (e *explorer) flushCounters(depth int) {
 		e.ctr.memoHits.Add(e.pendMemo)
 		e.pendMemo = 0
 	}
+	if e.pendTransHits != 0 {
+		e.ctr.transCacheHits.Add(e.pendTransHits)
+		e.pendTransHits = 0
+	}
+	if e.pendStepHits != 0 {
+		e.ctr.stepCacheHits.Add(e.pendStepHits)
+		e.pendStepHits = 0
+	}
 	e.ctr.curDepth.Store(int64(depth))
-	e.ctr.bumpMaxDepth(int64(depth))
-	if e.memo != nil && e.memo.isDegraded() {
-		e.ctr.degraded.Store(true)
+	bumpMax(&e.ctr.maxDepth, int64(depth))
+	if e.memo != nil {
+		bumpMax(&e.ctr.memoResident, int64(e.memo.count))
+		bumpMax(&e.ctr.memoKeyBytes, int64(e.memo.keyBytes()))
+		if e.memo.isDegraded() {
+			e.ctr.degraded.Store(true)
+		}
 	}
 	// Heartbeat: every flush proves this worker is making node progress.
 	beat := &e.ctr.beats[e.widx]

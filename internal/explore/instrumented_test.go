@@ -119,3 +119,44 @@ func TestInstrumentedParity(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineCacheCounters pins the engine counters the explorer's tables
+// publish at each counter flush. The transition and step caches and the
+// memo table are per tree, so on a complete run the hit counts and the
+// per-tree high-water marks are the same at every parallelism level.
+// Under MemoBudget a tree's memo never holds more cached entries than the
+// budget, and its key arena — kept bounded by compaction — stays well
+// below the unbounded table's.
+func TestEngineCacheCounters(t *testing.T) {
+	im := consensus.Sticky(5)
+	run := func(parallelism, budget int) Stats {
+		t.Helper()
+		rep, err := Consensus(im, Options{Parallelism: parallelism, Symmetry: SymmetryOff, MemoBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatal(rep.Summary())
+		}
+		return *rep.Stats
+	}
+	seq, par := run(1, 0), run(2, 0)
+	if seq.TransCacheHits == 0 || seq.StepCacheHits == 0 || seq.MemoResident == 0 || seq.MemoKeyBytes == 0 {
+		t.Fatalf("counters not published: %+v", seq)
+	}
+	if seq.TransCacheHits != par.TransCacheHits || seq.StepCacheHits != par.StepCacheHits ||
+		seq.MemoResident != par.MemoResident || seq.MemoKeyBytes != par.MemoKeyBytes {
+		t.Errorf("counters depend on parallelism: seq %+v, par %+v", seq, par)
+	}
+	const budget = 100
+	b := run(1, budget)
+	if b.MemoEvictions == 0 {
+		t.Fatalf("budget %d evicted nothing", budget)
+	}
+	if b.MemoResident != budget {
+		t.Errorf("budgeted MemoResident = %d, want the budget %d", b.MemoResident, budget)
+	}
+	if 2*b.MemoKeyBytes >= seq.MemoKeyBytes {
+		t.Errorf("budgeted key arena %d bytes, unbounded %d", b.MemoKeyBytes, seq.MemoKeyBytes)
+	}
+}

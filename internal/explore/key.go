@@ -8,8 +8,6 @@ import (
 	"math"
 	"reflect"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"waitfree/internal/fsx"
 	"waitfree/internal/program"
@@ -296,81 +294,279 @@ func (e *keyEncoder) appendValue(b []byte, rv reflect.Value) []byte {
 	}
 }
 
+// ---- byte-keyed index ----
+
+// keySeed seeds every keyIndex hash. Hash values decide slot placement
+// only, never iteration or eviction order, so a per-process random seed
+// cannot leak into a report.
+var keySeed = maphash.MakeSeed()
+
+// keyIndex maps byte keys to dense int32 ids: open addressing with linear
+// probing over a slot array of ids, the keys themselves copied into a
+// chunked byte arena. Its slots, records and key bytes hold no pointers,
+// so the garbage collector never scans them, and a lookup neither
+// converts the key to a string nor hashes it twice: callers hash once
+// (hash), probe once (find), and on a miss insert at the slot the probe
+// ended on. Deletion shifts later probe-chain members back into the hole,
+// so there are no tombstones; freed ids are reused, and the arena bytes of
+// deleted keys are reclaimed by compaction once they outweigh the live
+// ones.
+//
+// The zero value is an empty index. Not safe for concurrent use: every
+// index belongs to one explorer.
+type keyIndex struct {
+	slots []int32  // id+1 per slot, 0 when empty; len is a power of two
+	recs  []keyRec // per id
+	free  []int32  // ids of deleted keys, reused last-in first-out
+	n     int      // live keys
+	keys  keyArena
+}
+
+// keyRec locates one id's key: its hash and its bytes in the arena.
+// chunk is deadChunk while the id is free. 32 hash bits address any slot
+// array that fits in memory and keep the record at 16 bytes.
+type keyRec struct {
+	hash  uint32
+	chunk uint32
+	off   uint32
+	len   uint32
+}
+
+const deadChunk = math.MaxUint32
+
+// hash returns the index hash of key.
+func (x *keyIndex) hash(key []byte) uint32 { return uint32(maphash.Bytes(keySeed, key)) }
+
+// find probes for key (with hash h). It returns key's id, or -1 and the
+// empty slot where insert can place it.
+func (x *keyIndex) find(key []byte, h uint32) (id int32, slot int) {
+	if len(x.slots) == 0 {
+		return -1, -1
+	}
+	mask := len(x.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := x.slots[i]
+		if s == 0 {
+			return -1, i
+		}
+		if r := &x.recs[s-1]; r.hash == h && string(x.keys.bytes(r)) == string(key) {
+			return s - 1, i
+		}
+	}
+}
+
+// insert adds key (absent, with hash h) at slot, the empty slot its find
+// returned, and returns its new id: a freed id if there is one, else the
+// next dense id.
+func (x *keyIndex) insert(key []byte, h uint32, slot int) int32 {
+	if 2*(x.n+1) > len(x.slots) {
+		x.grow()
+		slot = x.emptySlot(h)
+	}
+	var id int32
+	if n := len(x.free); n > 0 {
+		id = x.free[n-1]
+		x.free = x.free[:n-1]
+	} else {
+		id = int32(len(x.recs))
+		x.recs = append(x.recs, keyRec{})
+	}
+	chunk, off := x.keys.add(key)
+	x.recs[id] = keyRec{hash: h, chunk: chunk, off: off, len: uint32(len(key))}
+	x.slots[slot] = id + 1
+	x.n++
+	return id
+}
+
+// emptySlot returns the first empty slot of h's probe chain.
+func (x *keyIndex) emptySlot(h uint32) int {
+	mask := len(x.slots) - 1
+	i := int(h) & mask
+	for x.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// grow doubles the slot array (keeping the load at most one half) and
+// re-places every live id by its stored hash.
+func (x *keyIndex) grow() {
+	n := 2 * len(x.slots)
+	if n == 0 {
+		n = 16
+	}
+	x.slots = make([]int32, n)
+	for id := range x.recs {
+		if r := &x.recs[id]; r.chunk != deadChunk {
+			x.slots[x.emptySlot(r.hash)] = int32(id) + 1
+		}
+	}
+}
+
+// key returns the bytes of a live id's key; valid until the next delete.
+func (x *keyIndex) key(id int32) []byte { return x.keys.bytes(&x.recs[id]) }
+
+// delete removes a live id. Later members of its probe chain shift back
+// into the hole, so every remaining key stays reachable from its home
+// slot without tombstones.
+func (x *keyIndex) delete(id int32) {
+	r := &x.recs[id]
+	mask := len(x.slots) - 1
+	i := int(r.hash) & mask
+	for x.slots[i] != id+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; x.slots[j] != 0; j = (j + 1) & mask {
+		// The id at j may fill the hole at i unless its home lies
+		// cyclically within (i, j].
+		home := int(x.recs[x.slots[j]-1].hash) & mask
+		if (j-home)&mask >= (j-i)&mask {
+			x.slots[i] = x.slots[j]
+			i = j
+		}
+	}
+	x.slots[i] = 0
+	x.keys.live -= int(r.len)
+	*r = keyRec{chunk: deadChunk}
+	x.free = append(x.free, id)
+	x.n--
+	if dead := x.keys.used - x.keys.live; dead > x.keys.live && dead >= compactMin {
+		x.compact()
+	}
+}
+
+// compactMin is the dead-byte floor below which compaction is not worth
+// a pass: small tables just keep their garbage.
+const compactMin = 16 * 1024
+
+// compact copies every live key, in id order, into a fresh arena and
+// drops the old chunks, so the arena holds at most about twice the live
+// key bytes. Each pass costs at most the dead bytes that triggered it,
+// so compaction is amortized O(1) per deleted byte.
+func (x *keyIndex) compact() {
+	old := x.keys
+	x.keys = keyArena{next: old.next}
+	for id := range x.recs {
+		r := &x.recs[id]
+		if r.chunk == deadChunk {
+			continue
+		}
+		r.chunk, r.off = x.keys.add(old.bytes(r))
+	}
+}
+
+// keyArena stores keys in byte chunks addressed by (chunk, offset). Chunk
+// sizes double from keyChunkMin to keyChunkMax, so a small tree's index
+// stays small, and a full chunk is never copied: growth allocates the
+// next chunk and leaves the earlier ones in place. A key never straddles
+// chunks; one longer than keyChunkMax gets a chunk of its own size.
+type keyArena struct {
+	chunks [][]byte
+	next   int // size of the next chunk
+	live   int // bytes of live keys
+	used   int // bytes stored, live or dead
+}
+
+const (
+	keyChunkMin = 1024
+	keyChunkMax = 64 * 1024
+)
+
+// add appends key and returns where it went.
+func (a *keyArena) add(key []byte) (chunk, off uint32) {
+	last := len(a.chunks) - 1
+	if last < 0 || cap(a.chunks[last])-len(a.chunks[last]) < len(key) {
+		size := a.next
+		if size < keyChunkMin {
+			size = keyChunkMin
+		}
+		if size < keyChunkMax {
+			a.next = 2 * size
+		}
+		if size < len(key) {
+			size = len(key)
+		}
+		a.chunks = append(a.chunks, make([]byte, 0, size))
+		last++
+	}
+	c := a.chunks[last]
+	a.chunks[last] = append(c, key...)
+	a.live += len(key)
+	a.used += len(key)
+	return uint32(last), uint32(len(c))
+}
+
+func (a *keyArena) bytes(r *keyRec) []byte {
+	return a.chunks[r.chunk][r.off : r.off+r.len : r.off+r.len]
+}
+
 // ---- memo table ----
 
-// memoShardCount is a power of two; 16 shards keep lock contention
-// negligible even when a future intra-tree parallel explorer shares one
-// table.
-const memoShardCount = 16
-
-// grayMark is the sentinel stored while a configuration is on the current
-// DFS stack; encountering it again along one path is a cycle (the
-// implementation is not wait-free). The single table replaces the two maps
-// (memo + color) the explorer used to allocate.
-var grayMark = &summary{}
-
-// memoTable is the configuration memo: a byte-keyed hash map sharded by a
-// maphash of the key. Shards lock independently, so a table is safe for
-// concurrent explorers; the current explorer uses one table per execution
-// tree single-threadedly, where the uncontended locks are nearly free.
+// memoTable is the configuration memo of one execution tree. It is built
+// in explorer.explore and touched only by the explorer that owns it, on
+// that explorer's goroutine, so it takes no locks and uses no atomics.
 //
-// A positive budget caps the number of retained cached entries. Gray marks
-// are the DFS stack: they never count toward the budget and are never
-// evicted, so cycle detection stays exact at any budget. When an insert
-// would exceed the budget, entries are reclaimed one at a time in
-// insertion order with a second chance (an entry whose ref bit was set by
-// a hit since its last consideration is requeued instead of dropped) —
-// amortized O(1) per insert, never a full-table scan. Eviction order
-// depends only on the put/get sequence, not on hash placement, so a
-// single-threaded exploration evicts deterministically and budgeted
-// reports stay identical at every parallelism level.
+// Each configuration the DFS enters costs one hash and one probe: lookup
+// either finds the configuration — a cached subtree summary (a memo hit)
+// or a gray entry (the configuration is on the current DFS stack: a
+// cycle) — or inserts it gray and returns its entry id. When the subtree
+// finishes, store turns the gray entry into a cached summary through that
+// id, or drop removes it if the subtree erred; neither hashes or probes.
+// Gray entries detect cycles exactly at any budget.
+//
+// A positive budget caps the number of cached entries. Gray entries never
+// count toward it and are never evicted. When a store would exceed the
+// budget, entries are reclaimed one at a time in insertion order with a
+// second chance: the clock ring holds (entry id, generation) pairs in
+// insertion order, and an entry whose ref bit was set by a hit since its
+// last consideration is requeued instead of dropped. Eviction is
+// amortized O(1) per insert, never a full-table scan, and it depends only
+// on the sequence of lookups and stores, not on hash placement, so
+// budgeted reports are the same at every parallelism level. Evicted keys'
+// arena bytes are reclaimed by compaction, so a budgeted table's memory
+// stays bounded by the budget and the DFS depth.
 //
 // With a spill tier (Options.MemoSpillDir) evicted entries move to a
-// checksummed disk file instead of being forgotten, and a later get serves
-// them back — the budget then trades memory for disk, MemoHits match the
-// unbounded run, and the table never degrades. Without one, eviction loses
-// memo hits and the table is flagged degraded.
-//
-// The count of cached (non-gray) entries is exact under concurrency: every
-// transition mutates its shard under the shard lock and adjusts the count
-// by the delta it observed — there is no blind Store to race a concurrent
-// Add.
+// checksummed disk file instead of being forgotten, and a later lookup
+// serves them back — the budget then trades memory for disk, MemoHits
+// match the unbounded run, and the table never degrades. Without one,
+// eviction loses memo hits and the table is flagged degraded.
 type memoTable struct {
-	seed     maphash.Seed
-	budget   int
-	count    atomic.Int64 // resident cached (non-gray) entries
-	degraded atomic.Bool
-	shards   [memoShardCount]memoShard
+	idx    keyIndex
+	ents   []memoEntry // per keyIndex id
+	budget int
+	count  int // resident cached (non-gray) entries
 
-	// clock is the second-chance queue: retained keys in insertion order,
-	// consumed from clockHead. Entries dropped or re-grayed out of band
-	// leave stale references behind, skipped (and accounted as scans) when
-	// popped.
-	clockMu   sync.Mutex
-	clock     []string
-	clockHead int
+	// clock is the second-chance queue, kept only under a budget.
+	clock clockRing
 
-	spill *memoSpill // nil when spill is off
+	spill    *memoSpill // nil when spill is off
+	degraded bool
 
 	// Eviction telemetry, exported via Stats and pinned by the
 	// no-evict-storm regression test: evictions counts entries actually
 	// reclaimed, evictScans counts clock entries examined (eviction work),
 	// spilled counts entries written to the spill tier.
-	evictions  atomic.Int64
-	evictScans atomic.Int64
-	spilled    atomic.Int64
+	evictions  int64
+	evictScans int64
+	spilled    int64
 }
 
-type memoShard struct {
-	mu sync.Mutex
-	m  map[string]*summary
+// memoEntry is one configuration's memo state. sum is nil while the
+// entry is gray. gen counts the reuses of the entry's id, so a clock
+// reference to an earlier occupant is recognized as stale. ref is the
+// second-chance bit a hit sets and eviction clears; spilled marks an
+// entry reloaded from the spill tier, whose record is already on disk
+// and is never rewritten when it is evicted again.
+type memoEntry struct {
+	sum     *summary
+	gen     uint32
+	ref     bool
+	spilled bool
 }
 
 func newMemoTable(budget int, spillDir string, fsys fsx.FS) *memoTable {
-	t := &memoTable{seed: maphash.MakeSeed(), budget: budget}
-	for i := range t.shards {
-		t.shards[i].m = make(map[string]*summary)
-	}
+	t := &memoTable{budget: budget}
 	if spillDir != "" && budget > 0 {
 		t.spill = newMemoSpill(spillDir, fsys)
 	}
@@ -382,8 +578,12 @@ func newMemoTable(budget int, spillDir string, fsys fsx.FS) *memoTable {
 // spill tier itself lost spilled entries (a rebuild, a dropped corrupt
 // record, or a broken tier).
 func (t *memoTable) isDegraded() bool {
-	return t.degraded.Load() || (t.spill != nil && t.spill.lost)
+	return t.degraded || (t.spill != nil && t.spill.lost)
 }
+
+// keyBytes is the size of the table's key arena: the keys of gray and
+// cached entries, plus evicted keys not yet reclaimed.
+func (t *memoTable) keyBytes() int { return t.idx.keys.used }
 
 // release tears the table down at tree completion, deleting the spill file
 // if one was created.
@@ -393,135 +593,107 @@ func (t *memoTable) release() {
 	}
 }
 
-func (t *memoTable) shardOf(key []byte) *memoShard {
-	h := maphash.Bytes(t.seed, key)
-	return &t.shards[h&(memoShardCount-1)]
-}
-
-// get looks a key up without allocating on the resident path (the string
-// conversion in the map index is optimized away by the compiler). A hit
-// sets the entry's second-chance bit. On a resident miss the spill tier is
-// consulted; a spilled summary is decoded, re-admitted as a resident entry
-// (possibly evicting another), and served — still a memo hit.
-func (t *memoTable) get(key []byte) (*summary, bool) {
-	s := t.shardOf(key)
-	s.mu.Lock()
-	v, ok := s.m[string(key)]
-	if ok && v != grayMark {
-		v.ref = true
-	}
-	s.mu.Unlock()
-	if ok {
-		return v, ok
+// lookup is the fused get-or-gray probe. If key is resident it returns
+// the entry's summary (nil for a gray entry) with found set, and a hit on
+// a cached entry sets its second-chance bit. On a resident miss the spill
+// tier is consulted; a spilled summary is re-admitted as a cached entry
+// (possibly evicting another) and served, still a hit. Otherwise key is
+// inserted gray and its entry id returned for the matching store or drop.
+func (t *memoTable) lookup(key []byte) (sum *summary, id int32, found bool) {
+	h := t.idx.hash(key)
+	id, slot := t.idx.find(key, h)
+	if id >= 0 {
+		en := &t.ents[id]
+		if en.sum != nil {
+			en.ref = true
+		}
+		return en.sum, id, true
 	}
 	if t.spill != nil {
 		if sum, ok := t.spill.load(key); ok {
-			sum.spilled = true // already on disk; never rewrite on re-evict
-			t.put(string(key), sum)
-			return sum, true
+			id = t.insert(key, h, slot)
+			t.ents[id].spilled = true
+			t.store(id, sum)
+			return sum, id, true
 		}
 	}
-	return nil, false
+	return nil, t.insert(key, h, slot), false
 }
 
-// put stores sum under a retained (string) key. Only a put that adds a new
-// cached (non-gray) entry counts toward the budget and can trigger
-// eviction; replacing an existing cached entry reuses its budget slot and
-// its clock position.
-func (t *memoTable) put(key string, sum *summary) {
-	if sum != grayMark {
-		// The memo owns the summary from here on: the explorer's free list
-		// must never recycle it (a later hit would observe the reuse).
-		sum.retained = true
+// insert adds key as a gray entry.
+func (t *memoTable) insert(key []byte, h uint32, slot int) int32 {
+	id := t.idx.insert(key, h, slot)
+	if int(id) == len(t.ents) {
+		t.ents = append(t.ents, memoEntry{})
 	}
-	s := &t.shards[maphash.String(t.seed, key)&(memoShardCount-1)]
-	s.mu.Lock()
-	old, existed := s.m[key]
-	s.m[key] = sum
-	s.mu.Unlock()
-	wasCached := existed && old != grayMark
-	if sum == grayMark {
-		// (Re-)graying a key: gray marks hold no budget slot. The cached
-		// entry it replaced, if any, leaves a stale clock reference behind.
-		if wasCached {
-			t.count.Add(-1)
+	return id
+}
+
+// store caches sum in the gray entry id. The new cached entry joins the
+// clock and may push the table over budget, triggering eviction — which
+// can evict this very entry if every older one has its second chance.
+func (t *memoTable) store(id int32, sum *summary) {
+	// The memo owns the summary from here on: the explorer's free list
+	// must never recycle it (a later hit would observe the reuse).
+	sum.retained = true
+	en := &t.ents[id]
+	en.sum = sum
+	t.count++
+	if t.budget > 0 {
+		t.clock.push(clockRef{id: id, gen: en.gen})
+		if t.count > t.budget {
+			t.evict()
 		}
-		return
 	}
-	if wasCached {
-		return // replacement: same slot, same clock position
-	}
-	t.clockMu.Lock()
-	t.clock = append(t.clock, key)
-	t.clockMu.Unlock()
-	if n := t.count.Add(1); t.budget > 0 && n > int64(t.budget) {
-		t.evict()
-	}
+}
+
+// drop frees entry id and its key: a gray entry whose subtree erred, or
+// an evicted one. The bumped generation marks any clock reference to the
+// entry stale.
+func (t *memoTable) drop(id int32) {
+	t.idx.delete(id)
+	t.ents[id] = memoEntry{gen: t.ents[id].gen + 1}
 }
 
 // evict reclaims cached entries until the resident count is back within
-// budget: pop the oldest clock reference; skip it if stale (dropped or
-// re-grayed since), requeue it if its second-chance bit is set, spill or
-// forget it otherwise. Each pop either retires a clock reference or clears
-// a ref bit a hit set, so eviction work is amortized O(1) per insert —
-// the no-evict-storm guarantee.
+// budget: pop the oldest clock reference; skip it if stale, requeue it if
+// its second-chance bit is set, spill or forget it otherwise. Each pop
+// either retires a clock reference or clears a ref bit a hit set, so
+// eviction work is amortized O(1) per insert — the no-evict-storm
+// guarantee.
 func (t *memoTable) evict() {
-	for t.count.Load() > int64(t.budget) {
-		t.clockMu.Lock()
-		if t.clockHead >= len(t.clock) {
-			t.clockMu.Unlock()
-			return // every resident entry is gray-shadowed or in flight
+	for t.count > t.budget {
+		ref, ok := t.clock.pop()
+		if !ok {
+			return
 		}
-		key := t.clock[t.clockHead]
-		t.clock[t.clockHead] = ""
-		t.clockHead++
-		if t.clockHead >= len(t.clock) {
-			t.clock = t.clock[:0]
-			t.clockHead = 0
-		}
-		t.clockMu.Unlock()
-		t.evictScans.Add(1)
-
-		s := &t.shards[maphash.String(t.seed, key)&(memoShardCount-1)]
-		s.mu.Lock()
-		v, ok := s.m[key]
-		if !ok || v == grayMark {
-			s.mu.Unlock()
+		t.evictScans++
+		en := &t.ents[ref.id]
+		if en.gen != ref.gen || en.sum == nil {
 			continue // stale reference
 		}
-		if v.ref {
-			v.ref = false
-			s.mu.Unlock()
-			t.clockMu.Lock()
-			t.clock = append(t.clock, key)
-			t.clockMu.Unlock()
+		if en.ref {
+			en.ref = false
+			t.clock.push(ref)
 			continue // second chance
 		}
-		delete(s.m, key)
-		s.mu.Unlock()
-		t.count.Add(-1)
-		t.evictions.Add(1)
+		sum, onDisk := en.sum, en.spilled
+		var key string
+		if t.spill != nil && !onDisk {
+			key = string(t.idx.key(ref.id))
+		}
+		t.drop(ref.id)
+		t.count--
+		t.evictions++
 		if t.spill != nil {
-			if v.spilled || t.spill.store(key, v) {
-				t.spilled.Add(1)
+			if onDisk || t.spill.store(key, sum) {
+				t.spilled++
 				continue
 			}
 			// Spill write failed: the entry is lost after all, so the run
 			// degrades exactly as it would without a spill tier.
 		}
-		t.degraded.Store(true)
-	}
-}
-
-// drop removes a key (used to clear the gray mark when a subtree errors).
-func (t *memoTable) drop(key string) {
-	s := &t.shards[maphash.String(t.seed, key)&(memoShardCount-1)]
-	s.mu.Lock()
-	v, existed := s.m[key]
-	delete(s.m, key)
-	s.mu.Unlock()
-	if existed && v != grayMark {
-		t.count.Add(-1)
+		t.degraded = true
 	}
 }
 
@@ -530,15 +702,49 @@ func (t *memoTable) drop(key string) {
 // would report a phantom cycle).
 func (t *memoTable) grayKeys() []string {
 	var out []string
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for k, v := range s.m {
-			if v == grayMark {
-				out = append(out, k)
-			}
+	for id, en := range t.ents {
+		if en.sum == nil && t.idx.recs[id].chunk != deadChunk {
+			out = append(out, string(t.idx.key(int32(id))))
 		}
-		s.mu.Unlock()
 	}
 	return out
+}
+
+// clockRef names a cached entry as the clock saw it.
+type clockRef struct {
+	id  int32
+	gen uint32
+}
+
+// clockRing is a FIFO of clock references in a power-of-two circular
+// buffer that doubles when full.
+type clockRing struct {
+	buf  []clockRef
+	head int
+	n    int
+}
+
+func (r *clockRing) push(c clockRef) {
+	if r.n == len(r.buf) {
+		size := 2 * len(r.buf)
+		if size == 0 {
+			size = 16
+		}
+		buf := make([]clockRef, size)
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = c
+	r.n++
+}
+
+func (r *clockRing) pop() (clockRef, bool) {
+	if r.n == 0 {
+		return clockRef{}, false
+	}
+	c := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return c, true
 }

@@ -206,29 +206,48 @@ func TestMemoTableBasics(t *testing.T) {
 	m := newMemoTable(0, "", nil)
 	sum := &summary{}
 	keys := []string{"", "a", "b", "aa", "\x00\x01", "longer key with bytes"}
+	ids := make(map[string]int32)
 	for _, k := range keys {
-		if _, ok := m.get([]byte(k)); ok {
+		_, id, found := m.lookup([]byte(k))
+		if found {
 			t.Fatalf("empty table contains %q", k)
 		}
-		m.put(k, grayMark)
+		ids[k] = id
 	}
 	if got := len(m.grayKeys()); got != len(keys) {
 		t.Fatalf("grayKeys = %d, want %d", got, len(keys))
 	}
 	for _, k := range keys {
-		m.put(k, sum)
+		if v, _, found := m.lookup([]byte(k)); !found || v != nil {
+			t.Fatalf("lookup(%q) on a gray entry = %v, %v; want nil, true", k, v, found)
+		}
+		m.store(ids[k], sum)
 	}
 	if got := len(m.grayKeys()); got != 0 {
-		t.Fatalf("grayKeys after overwrite = %d, want 0", got)
+		t.Fatalf("grayKeys after store = %d, want 0", got)
+	}
+	if m.count != len(keys) {
+		t.Fatalf("count = %d, want %d", m.count, len(keys))
 	}
 	for _, k := range keys {
-		v, ok := m.get([]byte(k))
-		if !ok || v != sum {
-			t.Fatalf("get(%q) = %v, %v", k, v, ok)
+		v, _, found := m.lookup([]byte(k))
+		if !found || v != sum {
+			t.Fatalf("lookup(%q) = %v, %v", k, v, found)
 		}
-		m.drop(k)
-		if _, ok := m.get([]byte(k)); ok {
-			t.Fatalf("dropped key %q still present", k)
+		// A gray entry for a fresh key, dropped: the key is gone again.
+		fresh := []byte("fresh:" + k)
+		_, id, found := m.lookup(fresh)
+		if found {
+			t.Fatalf("fresh key %q already present", fresh)
 		}
+		m.drop(id)
+		if _, id, found := m.lookup(fresh); found {
+			t.Fatalf("dropped key %q still present", fresh)
+		} else {
+			m.drop(id)
+		}
+	}
+	if got := len(m.grayKeys()); got != 0 {
+		t.Fatalf("grayKeys after drops = %d, want 0", got)
 	}
 }

@@ -2,9 +2,10 @@ package explore
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
-	"sync"
+	"strings"
 	"testing"
 
 	"waitfree/internal/consensus"
@@ -12,39 +13,48 @@ import (
 	"waitfree/internal/program"
 )
 
+// memoInsert enters key into tbl as a new gray entry and returns its id.
+func memoInsert(t *testing.T, tbl *memoTable, key string) int32 {
+	t.Helper()
+	_, id, found := tbl.lookup([]byte(key))
+	if found {
+		t.Fatalf("key %q already present", key)
+	}
+	return id
+}
+
 // TestMemoPutNoEvictStorm is the regression test for the evict-storm bug:
 // the old put triggered a full-table eviction scan on every insert once
 // gray marks alone reached the budget, turning budgeted runs quadratic.
-// The fixed table counts only cached (non-gray) entries toward the budget
-// and pays at most one clock scan per eviction (plus one per second
-// chance), so total scan work is O(evictions), never O(inserts) per
-// insert.
+// The table counts only cached (non-gray) entries toward the budget and
+// pays at most one clock scan per eviction (plus one per second chance),
+// so total scan work is O(evictions), never O(inserts) per insert.
 func TestMemoPutNoEvictStorm(t *testing.T) {
 	const budget = 8
 	tbl := newMemoTable(budget, "", nil)
 
-	// A deep DFS stack: gray marks alone exceed the whole budget. They
+	// A deep DFS stack: gray entries alone exceed the whole budget. They
 	// hold no budget slot, so nothing is scanned and nothing is evicted.
 	for i := 0; i < 4*budget; i++ {
-		tbl.put(fmt.Sprintf("gray%d", i), grayMark)
+		memoInsert(t, tbl, fmt.Sprintf("gray%d", i))
 	}
-	if n := tbl.count.Load(); n != 0 {
-		t.Fatalf("gray marks counted toward the budget: count=%d", n)
+	if tbl.count != 0 {
+		t.Fatalf("gray entries counted toward the budget: count=%d", tbl.count)
 	}
-	if s := tbl.evictScans.Load(); s != 0 {
-		t.Fatalf("gray marks triggered eviction scans: %d", s)
+	if tbl.evictScans != 0 {
+		t.Fatalf("gray entries triggered eviction scans: %d", tbl.evictScans)
 	}
 
 	// Cached inserts with no interleaved hits: every over-budget insert
 	// reclaims exactly one entry with exactly one clock scan.
 	const inserts = 1000
 	for i := 0; i < inserts; i++ {
-		tbl.put(fmt.Sprintf("key%d", i), &summary{nodes: 1})
+		tbl.store(memoInsert(t, tbl, fmt.Sprintf("key%d", i)), &summary{nodes: 1})
 	}
-	if n := tbl.count.Load(); n != budget {
-		t.Fatalf("resident count = %d, want budget %d", n, budget)
+	if tbl.count != budget {
+		t.Fatalf("resident count = %d, want budget %d", tbl.count, budget)
 	}
-	ev, scans := tbl.evictions.Load(), tbl.evictScans.Load()
+	ev, scans := tbl.evictions, tbl.evictScans
 	if ev != inserts-budget {
 		t.Fatalf("evictions = %d, want %d", ev, inserts-budget)
 	}
@@ -52,80 +62,268 @@ func TestMemoPutNoEvictStorm(t *testing.T) {
 		t.Fatalf("evict storm: %d clock scans for %d evictions", scans, ev)
 	}
 
-	// Replacing a resident key reuses its budget slot: no eviction.
-	tbl.put(fmt.Sprintf("key%d", inserts-1), &summary{nodes: 2})
-	if got := tbl.evictions.Load(); got != ev {
-		t.Fatalf("replacement evicted: %d -> %d", ev, got)
+	// A hit on a resident entry takes no budget slot: no eviction.
+	if sum, _, found := tbl.lookup([]byte(fmt.Sprintf("key%d", inserts-1))); !found || sum == nil {
+		t.Fatal("newest resident entry missing")
 	}
-	if n := tbl.count.Load(); n != budget {
-		t.Fatalf("replacement changed the count: %d", n)
+	if tbl.evictions != ev || tbl.count != budget {
+		t.Fatalf("a hit changed the table: evictions %d -> %d, count %d", ev, tbl.evictions, tbl.count)
 	}
 
 	// Second chance: a hit since last consideration spares the entry for
 	// one extra scan, then the next-oldest entry goes.
 	head := fmt.Sprintf("key%d", inserts-budget) // oldest resident
-	if _, ok := tbl.get([]byte(head)); !ok {
+	if _, _, found := tbl.lookup([]byte(head)); !found {
 		t.Fatalf("resident entry %q missing", head)
 	}
-	tbl.put("fresh", &summary{nodes: 1})
-	if got := tbl.evictScans.Load() - scans; got != 2 {
+	tbl.store(memoInsert(t, tbl, "fresh"), &summary{nodes: 1})
+	if got := tbl.evictScans - scans; got != 2 {
 		t.Fatalf("second chance cost %d scans, want 2 (requeue + evict)", got)
 	}
-	if got := tbl.evictions.Load() - ev; got != 1 {
+	if got := tbl.evictions - ev; got != 1 {
 		t.Fatalf("second chance evicted %d entries, want 1", got)
 	}
-	if _, ok := tbl.get([]byte(head)); !ok {
+	if sum, _, found := tbl.lookup([]byte(head)); !found || sum == nil {
 		t.Fatalf("referenced entry %q was evicted despite its second chance", head)
 	}
 }
 
-// TestMemoCountExactUnderRace hammers put/get/drop (and the evictions they
-// trigger) from many goroutines and then checks the budget counter against
-// the ground truth. The old evict() published count with a blind Store
-// that raced concurrent Adds; the fixed table only ever adjusts the count
-// by deltas observed under a shard lock, so at quiescence the counter must
-// equal the resident non-gray population exactly. Run under -race this
-// also pins the documented "safe for concurrent explorers" claim.
-func TestMemoCountExactUnderRace(t *testing.T) {
-	tbl := newMemoTable(32, "", nil)
-	const goroutines = 8
-	const ops = 4000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < ops; i++ {
-				key := fmt.Sprintf("g%d-k%d", g, i%97)
-				switch i % 5 {
-				case 0:
-					tbl.put(key, grayMark)
-				case 1, 2:
-					tbl.put(key, &summary{nodes: int64(i)})
-				case 3:
-					tbl.get([]byte(key))
-				default:
-					tbl.drop(key)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
+// refMemo is the reference model of the memo table's contract: a plain
+// map plus a clock of keys in insertion order, with the second-chance
+// eviction policy the sharded table implemented. TestMemoTableModel
+// drives it and the real table with the same operations.
+type refMemo struct {
+	budget     int
+	m          map[string]*refEntry
+	clock      []string
+	count      int
+	evictions  int64
+	evictScans int64
+	victims    []string
+}
 
-	var resident int64
-	for i := range tbl.shards {
-		s := &tbl.shards[i]
-		s.mu.Lock()
-		for _, v := range s.m {
-			if v != grayMark {
-				resident++
+type refEntry struct {
+	sum *summary // nil while gray
+	ref bool
+}
+
+// lookup is get-or-gray: a resident key is returned (a cached hit sets
+// its second-chance bit); a missing key is inserted gray.
+func (r *refMemo) lookup(key string) (*summary, bool) {
+	if en, ok := r.m[key]; ok {
+		if en.sum != nil {
+			en.ref = true
+		}
+		return en.sum, true
+	}
+	r.m[key] = &refEntry{}
+	return nil, false
+}
+
+func (r *refMemo) store(key string, sum *summary) {
+	r.m[key].sum = sum
+	r.clock = append(r.clock, key)
+	r.count++
+	for r.budget > 0 && r.count > r.budget && len(r.clock) > 0 {
+		k := r.clock[0]
+		r.clock = r.clock[1:]
+		r.evictScans++
+		en, ok := r.m[k]
+		if !ok || en.sum == nil {
+			continue
+		}
+		if en.ref {
+			en.ref = false
+			r.clock = append(r.clock, k)
+			continue
+		}
+		delete(r.m, k)
+		r.count--
+		r.evictions++
+		r.victims = append(r.victims, k)
+	}
+}
+
+func (r *refMemo) drop(key string) { delete(r.m, key) }
+
+// resident returns the keys of the real table's cached entries.
+func (t *memoTable) resident() map[string]bool {
+	out := make(map[string]bool)
+	for id, en := range t.ents {
+		if en.sum != nil {
+			out[string(t.idx.key(int32(id)))] = true
+		}
+	}
+	return out
+}
+
+// TestMemoTableModel drives the memo table and refMemo with the same
+// random interleaving of lookups, stores and drops (stores and drops hit
+// any pending gray entry, not only the newest), at budgets 0, 1, 8 and
+// 100, and demands identical hits, identical victims in identical order,
+// and identical evictions and evictScans after every operation. Half the
+// keys are long, so evicted keys' arena bytes pile up and compaction
+// runs; the arena must stay within twice its live bytes plus the
+// compaction floor.
+func TestMemoTableModel(t *testing.T) {
+	for _, budget := range []int{0, 1, 8, 100} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("budget=%d/seed=%d", budget, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				keys := make([]string, 120)
+				for i := range keys {
+					keys[i] = fmt.Sprintf("k%d", i)
+					if i%2 == 1 {
+						keys[i] += strings.Repeat("x", 300+i)
+					}
+				}
+				tbl := newMemoTable(budget, "", nil)
+				ref := &refMemo{budget: budget, m: make(map[string]*refEntry)}
+				type pending struct {
+					key string
+					id  int32
+				}
+				var gray []pending
+				var victims []string
+				compactions := 0
+				for op := 0; op < 4000; op++ {
+					before := tbl.resident()
+					arenaUsed := tbl.idx.keys.used
+					switch x := rng.Intn(10); {
+					case x < 6 || len(gray) == 0:
+						k := keys[rng.Intn(len(keys))]
+						sum, id, found := tbl.lookup([]byte(k))
+						rsum, rfound := ref.lookup(k)
+						if found != rfound || sum != rsum {
+							t.Fatalf("op %d: lookup(%q) = %p,%v; model %p,%v", op, k, sum, found, rsum, rfound)
+						}
+						if !found {
+							gray = append(gray, pending{k, id})
+						}
+					case x < 9:
+						i := rng.Intn(len(gray))
+						p := gray[i]
+						gray = append(gray[:i], gray[i+1:]...)
+						sum := &summary{nodes: int64(op)}
+						before[p.key] = true // a store may evict its own entry
+						tbl.store(p.id, sum)
+						ref.store(p.key, sum)
+					default:
+						i := rng.Intn(len(gray))
+						p := gray[i]
+						gray = append(gray[:i], gray[i+1:]...)
+						tbl.drop(p.id)
+						ref.drop(p.key)
+					}
+					after := tbl.resident()
+					var gone []string
+					for k := range before {
+						if !after[k] {
+							gone = append(gone, k)
+						}
+					}
+					if len(gone) > 1 {
+						t.Fatalf("op %d: one operation evicted %d entries", op, len(gone))
+					}
+					victims = append(victims, gone...)
+					if tbl.count != ref.count || len(after) != ref.count {
+						t.Fatalf("op %d: count %d (resident %d), model %d", op, tbl.count, len(after), ref.count)
+					}
+					if tbl.evictions != ref.evictions || tbl.evictScans != ref.evictScans {
+						t.Fatalf("op %d: evictions/scans %d/%d, model %d/%d",
+							op, tbl.evictions, tbl.evictScans, ref.evictions, ref.evictScans)
+					}
+					if len(victims) != len(ref.victims) || (len(gone) == 1 && gone[0] != ref.victims[len(ref.victims)-1]) {
+						t.Fatalf("op %d: victims %v, model %v", op, gone, ref.victims[len(victims)-len(gone):])
+					}
+					if a := &tbl.idx.keys; a.used > 2*a.live+compactMin {
+						t.Fatalf("op %d: key arena holds %d bytes for %d live", op, a.used, a.live)
+					}
+					if tbl.idx.keys.used < arenaUsed { // only compaction shrinks it
+						compactions++
+					}
+				}
+				if got, want := len(tbl.grayKeys()), len(gray); got != want {
+					t.Fatalf("%d gray entries, want %d", got, want)
+				}
+				if budget > 0 && budget < 100 && (ref.evictions == 0 || compactions == 0) {
+					t.Fatalf("budget %d: %d evictions, %d compactions; the run exercised neither", budget, ref.evictions, compactions)
+				}
+			})
+		}
+	}
+}
+
+// TestKeyIndexWrapAndCompaction drives keyIndex with chosen hashes so
+// every probe chain runs off the end of the slot array and wraps: keys
+// are inserted, deleted out of order (each deletion shifting later chain
+// members back across the wrap) and re-found against a map, and repeated
+// delete/insert rounds of long keys force arena compaction.
+func TestKeyIndexWrapAndCompaction(t *testing.T) {
+	var x keyIndex
+	want := make(map[string]int32)
+	// 6 keys keep a 16-slot table (load <= 1/2); their hashes all land on
+	// the last three slots.
+	hashOf := func(k string) uint32 { return uint32(13 + len(k)%3) }
+	check := func(stage string) {
+		t.Helper()
+		if x.n != len(want) {
+			t.Fatalf("%s: %d live keys, want %d", stage, x.n, len(want))
+		}
+		for k, id := range want {
+			if got, _ := x.find([]byte(k), hashOf(k)); got != id {
+				t.Fatalf("%s: find(%q) = %d, want %d", stage, k, got, id)
 			}
 		}
-		s.mu.Unlock()
 	}
-	if got := tbl.count.Load(); got != resident {
-		t.Fatalf("budget counter drifted: counter %d, resident %d", got, resident)
+	add := func(k string) {
+		id, slot := x.find([]byte(k), hashOf(k))
+		if id >= 0 {
+			t.Fatalf("%q present before insert", k)
+		}
+		want[k] = x.insert([]byte(k), hashOf(k), slot)
 	}
+	for _, k := range []string{"a", "bb", "ccc", "dddd", "eeeee", "ffffff"} {
+		add(k)
+	}
+	if len(x.slots) != 16 {
+		t.Fatalf("%d slots, want 16", len(x.slots))
+	}
+	if x.slots[0] == 0 || x.slots[1] == 0 {
+		t.Fatalf("no probe chain wrapped: slots %v", x.slots)
+	}
+	check("inserted")
+	for _, k := range []string{"bb", "a", "eeeee"} {
+		x.delete(want[k])
+		delete(want, k)
+		check("deleted " + k)
+	}
+	add("a")
+	add("gg")
+	check("reinserted")
+
+	// Compaction: churn long keys through delete/insert until the dead
+	// bytes pass the floor; every live key must survive the move.
+	compacted := false
+	for round := 0; round < 200; round++ {
+		k := fmt.Sprintf("%d%s", round, strings.Repeat("z", 500))
+		used := x.keys.used
+		add(k)
+		if round%2 == 0 {
+			x.delete(want[k])
+			delete(want, k)
+		}
+		if x.keys.used < used+len(k) { // only compaction shrinks it
+			compacted = true
+		}
+		if a := &x.keys; a.used > 2*a.live+compactMin {
+			t.Fatalf("round %d: arena holds %d bytes for %d live", round, a.used, a.live)
+		}
+	}
+	if !compacted {
+		t.Fatal("churn never compacted the arena")
+	}
+	check("after churn")
 }
 
 // TestMemoSpillPreservesHits pins the spill tier's contract: a budgeted

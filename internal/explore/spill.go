@@ -52,11 +52,12 @@ type spillRef struct {
 	len int
 }
 
-// memoSpill is the disk tier behind a memoTable. It inherits the table's
-// synchronization: the explorer drives put/get/evict from one goroutine
-// per tree, and the memoTable never calls into the spill concurrently with
-// itself from a single exploration. (The concurrent hammer test exercises
-// the resident tiers only.)
+// memoSpill is the disk tier behind a memoTable. Like the table it
+// belongs to one explorer and runs on that explorer's goroutine. Its
+// index stays a map keyed by string: it is consulted only on a resident
+// miss and written only on an eviction, and each store or load pays an
+// envelope encode or decode and a disk write or read, so the map is
+// nowhere near the spill path's cost.
 type memoSpill struct {
 	dir   string
 	fsys  fsx.FS
@@ -79,8 +80,7 @@ func newMemoSpill(dir string, fsys fsx.FS) *memoSpill {
 }
 
 // policy is the unified retry policy with the spill's retry counter hung
-// on it. The spill inherits the memo table's single-goroutine discipline,
-// so the counter is a plain int64.
+// on it. The spill has a single owner, so the counter is a plain int64.
 func (sp *memoSpill) policy() fsx.RetryPolicy {
 	return fsx.DefaultRetry.WithObserver(func(error) { sp.retries++ })
 }

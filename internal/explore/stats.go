@@ -86,6 +86,18 @@ type Stats struct {
 	StorageRetries int64 `json:"storage_retries,omitempty"`
 	SpillRebuilds  int64 `json:"spill_rebuilds,omitempty"`
 	SpillBroken    bool  `json:"spill_broken,omitempty"`
+	// TransCacheHits and StepCacheHits count edges whose object
+	// transition (Spec.Apply) or process advance was served from the
+	// explorer's per-tree caches instead of running user code.
+	TransCacheHits int64 `json:"trans_cache_hits,omitempty"`
+	StepCacheHits  int64 `json:"step_cache_hits,omitempty"`
+	// MemoResident is the most cached entries one tree's memo table held
+	// at a counter flush; under Options.MemoBudget it never exceeds the
+	// budget. MemoKeyBytes is the largest key arena one tree's memo table
+	// held at a flush: the keys of its cached and on-stack
+	// configurations, plus evicted keys not yet reclaimed.
+	MemoResident int64 `json:"memo_resident,omitempty"`
+	MemoKeyBytes int64 `json:"memo_key_bytes,omitempty"`
 	// Heartbeats[w] is worker w's liveness record: what it is exploring
 	// and when it last flushed progress. The stall watchdog
 	// (Options.StallAfter) reads the same records; snapshots copy them, so
@@ -182,6 +194,10 @@ type counters struct {
 	storageRetries atomic.Int64
 	spillRebuilds  atomic.Int64
 	spillBroken    atomic.Bool
+	transCacheHits atomic.Int64
+	stepCacheHits  atomic.Int64
+	memoResident   atomic.Int64 // high-water mark
+	memoKeyBytes   atomic.Int64 // high-water mark
 
 	workerNodes []atomic.Int64
 	beats       []workerBeat
@@ -252,11 +268,11 @@ func (c *counters) trip(reason int32) {
 	}
 }
 
-// bumpMaxDepth raises maxDepth to d if d is larger.
-func (c *counters) bumpMaxDepth(d int64) {
+// bumpMax raises the high-water mark m to v if v is larger.
+func bumpMax(m *atomic.Int64, v int64) {
 	for {
-		cur := c.maxDepth.Load()
-		if d <= cur || c.maxDepth.CompareAndSwap(cur, d) {
+		cur := m.Load()
+		if v <= cur || m.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -282,6 +298,10 @@ func (c *counters) snapshot() Stats {
 		StorageRetries: c.storageRetries.Load(),
 		SpillRebuilds:  c.spillRebuilds.Load(),
 		SpillBroken:    c.spillBroken.Load(),
+		TransCacheHits: c.transCacheHits.Load(),
+		StepCacheHits:  c.stepCacheHits.Load(),
+		MemoResident:   c.memoResident.Load(),
+		MemoKeyBytes:   c.memoKeyBytes.Load(),
 		Elapsed:        time.Since(c.start),
 	}
 	s.Frontier = s.TreesTotal - s.TreesDone

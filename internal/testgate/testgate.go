@@ -27,12 +27,20 @@ type Gate struct {
 	calls       atomic.Int64
 	release     chan struct{}
 	releaseOnce sync.Once
+	reached     chan struct{}
+	reachedOnce sync.Once
 }
 
 // New returns a gate that blocks from the at-th Start call (1-based) on.
 func New(at int64) *Gate {
-	return &Gate{at: at, release: make(chan struct{})}
+	return &Gate{at: at, release: make(chan struct{}), reached: make(chan struct{})}
 }
+
+// Reached returns a channel that is closed once a call has arrived at the
+// gate: the run has got as far as the at-th Start call. A test that stops
+// the run waits on it first, so the stop cannot land before the run
+// started.
+func (g *Gate) Reached() <-chan struct{} { return g.reached }
 
 // Wrap returns a copy of im whose machines pass through g. Objects,
 // name, process count and symmetry declaration are shared with im.
@@ -67,6 +75,7 @@ type gated struct {
 
 func (w gated) Start(inv types.Invocation, mem any) any {
 	if w.g.calls.Add(1) >= w.g.at {
+		w.g.reachedOnce.Do(func() { close(w.g.reached) })
 		<-w.g.release
 	}
 	return w.Machine.Start(inv, mem)

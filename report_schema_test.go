@@ -34,6 +34,11 @@ func TestReportGoldenV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Engine counters ride in Stats, which Canonicalize strips: the live
+	// report carries them, the pinned bytes never do.
+	if s := rep.Consensus.Stats; s == nil || s.MemoResident == 0 || s.MemoKeyBytes == 0 {
+		t.Fatalf("live report lacks the memo counters: %+v", s)
+	}
 	rep.Canonicalize()
 	got, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

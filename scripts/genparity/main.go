@@ -5,6 +5,14 @@
 // TestFlatLayoutParity asserts that today's engine reproduces them
 // byte-for-byte at every parallelism and symmetry level.
 //
+// It also writes testdata/budgetparity: the same canonical reports for
+// runs under Options.MemoBudget, with and without a spill tier. A
+// budgeted run's memo_hits and degraded flag depend on which entries the
+// memo table evicts and in what order, so these fixtures pin the
+// eviction policy itself (TestBudgetParity). They were first written by
+// the sharded string-keyed memo table, before the single-owner table
+// replaced it.
+//
 // Two fixtures, sticky3_nomemo and cas3_crashstop_nomemo, are frozen:
 // they were produced by the unmemoized engine, which has since been
 // deleted, so they can no longer be regenerated. genparity skips them, and
@@ -65,6 +73,70 @@ func Cases() []Case {
 	}
 }
 
+// BudgetCase is one fixture of the memo-budget grid: a case of the
+// exploration grid run with Options.MemoBudget = Budget, with a fresh
+// spill directory when Spill is set.
+type BudgetCase struct {
+	Name   string
+	Impl   func() *program.Implementation
+	Faults faults.Model
+	Budget int
+	Spill  bool
+}
+
+// BudgetCases returns the memo-budget fixture grid: sticky3, queue2 under
+// one crash, and cas3 at budgets 4, 32 and 100 without a spill tier
+// (evicted entries are forgotten, so small budgets degrade); larger
+// protocols whose trees overflow the larger budgets; a crash-recovery
+// row; and spill-backed runs. Shared with the parity test via identical
+// construction.
+func BudgetCases() []BudgetCase {
+	crashStop := faults.Model{Mode: faults.CrashStop, MaxCrashes: 1}
+	crashRecovery := faults.Model{Mode: faults.CrashRecovery, MaxCrashes: 1, MaxRecoveries: 1}
+	var out []BudgetCase
+	for _, budget := range []int{4, 32, 100} {
+		out = append(out,
+			BudgetCase{Name: fmt.Sprintf("sticky3_b%d", budget), Impl: func() *program.Implementation { return consensus.Sticky(3) }, Budget: budget},
+			BudgetCase{Name: fmt.Sprintf("queue2_crashstop_b%d", budget), Impl: consensus.Queue2, Faults: crashStop, Budget: budget},
+			BudgetCase{Name: fmt.Sprintf("cas3_b%d", budget), Impl: func() *program.Implementation { return consensus.CAS(3) }, Budget: budget},
+		)
+	}
+	return append(out,
+		BudgetCase{Name: "sticky4_b100", Impl: func() *program.Implementation { return consensus.Sticky(4) }, Budget: 100},
+		BudgetCase{Name: "cas5_b32", Impl: func() *program.Implementation { return consensus.CAS(5) }, Budget: 32},
+		BudgetCase{Name: "sticky5_b100", Impl: func() *program.Implementation { return consensus.Sticky(5) }, Budget: 100},
+		BudgetCase{Name: "sticky3_crashrecovery_b32", Impl: func() *program.Implementation { return consensus.Sticky(3) }, Faults: crashRecovery, Budget: 32},
+		BudgetCase{Name: "queue2_crashstop_b4_spill", Impl: consensus.Queue2, Faults: crashStop, Budget: 4, Spill: true},
+		BudgetCase{Name: "sticky5_b100_spill", Impl: func() *program.Implementation { return consensus.Sticky(5) }, Budget: 100, Spill: true},
+	)
+}
+
+// BudgetStats is a budget case's eviction telemetry, pinned in
+// BudgetStatsFile next to the reports.
+type BudgetStats struct {
+	Evictions int64 `json:"memo_evictions"`
+	Spilled   int64 `json:"memo_spilled"`
+}
+
+// BudgetStatsFile holds every budget case's BudgetStats, keyed by name.
+const BudgetStatsFile = "evictions.golden"
+
+// Options builds the exploration options of a budget case at the given
+// parallelism and symmetry mode; spillDir is used only when c.Spill is
+// set.
+func (c BudgetCase) Options(parallelism int, symmetry explore.SymmetryMode, spillDir string) explore.Options {
+	opts := explore.Options{
+		Faults:      c.Faults,
+		Parallelism: parallelism,
+		Symmetry:    symmetry,
+		MemoBudget:  c.Budget,
+	}
+	if c.Spill {
+		opts.MemoSpillDir = spillDir
+	}
+	return opts
+}
+
 // Options builds the exploration options of a case at the given
 // parallelism and symmetry mode.
 func (c Case) Options(parallelism int, symmetry explore.SymmetryMode) explore.Options {
@@ -119,6 +191,42 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
+	}
+
+	bdir := filepath.Join("testdata", "budgetparity")
+	if err := os.MkdirAll(bdir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	spillDir, err := os.MkdirTemp("", "genparity-spill-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(spillDir)
+	// Eviction counts are engine Stats, which canonical reports strip; a
+	// side file pins them too, since they follow the victim order.
+	evictions := make(map[string]BudgetStats)
+	for _, c := range BudgetCases() {
+		rep, err := explore.ConsensusKContext(context.Background(), c.Impl(), 2, c.Options(1, explore.SymmetryOff, spillDir))
+		if err != nil {
+			log.Fatalf("%s: %v", c.Name, err)
+		}
+		data, err := CanonicalJSON(rep)
+		if err != nil {
+			log.Fatalf("%s: %v", c.Name, err)
+		}
+		path := filepath.Join(bdir, c.Name+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			log.Fatal(err)
+		}
+		evictions[c.Name] = BudgetStats{Evictions: rep.Stats.MemoEvictions, Spilled: rep.Stats.MemoSpilled}
+		fmt.Printf("wrote %s (%d bytes, degraded=%v, evictions=%d)\n", path, len(data), rep.Degraded, rep.Stats.MemoEvictions)
+	}
+	data, err := json.MarshalIndent(evictions, "", "  ")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(bdir, BudgetStatsFile), append(data, '\n'), 0o644); err != nil {
+		log.Fatal(err)
 	}
 
 	// The resume fixture: stop the ResumeCase run early and save its
