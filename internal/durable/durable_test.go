@@ -1,18 +1,18 @@
 package durable
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"waitfree/internal/envelope"
 	"waitfree/internal/explore"
 	"waitfree/internal/faults"
 	"waitfree/internal/fsx"
@@ -237,120 +237,113 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 // fsx.DefaultRetry, millisecond backoff.
 var quickRetry = fsx.RetryPolicy{Attempts: 3, Base: time.Millisecond}
 
-func TestSaveRetriesTransientFailures(t *testing.T) {
+// A transient read failure no longer aborts a resume: Load retries the
+// read like every other disk tier.
+func TestLoadRetriesTransientRead(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
-	cp := sampleCheckpoint(1)
-	data, err := Encode(cp)
-	if err != nil {
+	cp := sampleCheckpoint(2)
+	if err := Save(path, cp); err != nil {
 		t.Fatal(err)
 	}
-
-	// Two transient rename failures: absorbed by the three-attempt policy.
-	ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpRename, Nth: 1, Count: 2, Err: syscall.EIO})
-	if err := SaveBytesWith(context.Background(), ff, quickRetry, path, data); err != nil {
-		t.Fatalf("save with 2 transient failures: %v", err)
+	ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpReadFile, Nth: 1, Err: syscall.EIO})
+	got, err := load(ff, quickRetry, path)
+	if err != nil {
+		t.Fatalf("load with one transient EIO: %v", err)
 	}
-	if _, err := Load(path); err != nil {
-		t.Fatalf("load after retried save: %v", err)
+	if !reflect.DeepEqual(got, cp) {
+		t.Errorf("retried load mismatch\nwant: %+v\ngot:  %+v", cp, got)
 	}
-	if got := ff.CountOf(fsx.OpRename); got != 3 {
-		t.Errorf("rename attempted %d times, want 3", got)
-	}
-
-	// A rename that fails on every attempt: the policy gives up with an
-	// error naming the attempt count.
-	ff = fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpRename, Nth: 1, Count: -1, Err: syscall.EIO})
-	err = SaveBytesWith(context.Background(), ff, quickRetry, path, data)
-	if err == nil {
-		t.Fatal("save succeeded with a permanently failing rename")
-	}
-	if !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), "attempts") {
-		t.Errorf("persistent-failure error = %v", err)
-	}
-	// The prior good file must be untouched by the failed overwrite.
-	if _, err := Load(path); err != nil {
-		t.Errorf("failed save clobbered the existing file: %v", err)
+	if n := ff.CountOf(fsx.OpReadFile); n != 2 {
+		t.Errorf("ReadFile attempted %d times, want 2", n)
 	}
 }
 
-// A permanent fault (the out-of-space class) must not burn the backoff
-// schedule: one attempt, immediate surfacing.
-func TestSavePermanentFaultBailsImmediately(t *testing.T) {
+// Corruption is a property of the bytes: a bit flipped in flight is
+// reported as *CorruptError after exactly one read.
+func TestLoadBitFlipNotRetried(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
-	ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpCreateTemp, Nth: 1, Count: -1, Err: syscall.ENOSPC})
-	err := SaveBytesWith(context.Background(), ff, quickRetry, path, []byte("payload"))
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("err = %v, want ENOSPC", err)
+	if err := Save(path, sampleCheckpoint(2)); err != nil {
+		t.Fatal(err)
 	}
-	if got := ff.CountOf(fsx.OpCreateTemp); got != 1 {
-		t.Errorf("ENOSPC retried: %d CreateTemp attempts, want 1", got)
+	ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpReadFile, Nth: 1, Kind: fsx.FaultBitFlip})
+	_, err := load(ff, quickRetry, path)
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Path != path {
+		t.Fatalf("err = %v, want *CorruptError for %s", err, path)
+	}
+	if n := ff.CountOf(fsx.OpReadFile); n != 1 {
+		t.Errorf("ReadFile attempted %d times, want 1", n)
 	}
 }
 
-// A torn write is caught before the rename: the half-written temp file is
-// discarded and the retry writes a fresh one, so the destination never
-// holds a torn byte.
-func TestSaveTornWriteNeverPublishesPartialBytes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp")
-	cp := sampleCheckpoint(3)
-	data, err := Encode(cp)
-	if err != nil {
-		t.Fatal(err)
+// A missing file is a fresh start, not a fault: one attempt, no retry.
+func TestLoadMissingFileOneAttempt(t *testing.T) {
+	ff := fsx.NewFaultFS(nil, 1)
+	_, err := load(ff, quickRetry, filepath.Join(t.TempDir(), "nope"))
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("err = %v, want fs.ErrNotExist", err)
 	}
-	ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpWrite, Nth: 1, Kind: fsx.FaultTorn, Err: syscall.EIO})
-	if err := SaveBytesWith(context.Background(), ff, quickRetry, path, data); err != nil {
-		t.Fatalf("save with one torn write: %v", err)
-	}
-	if _, err := Load(path); err != nil {
-		t.Fatalf("load after torn-write retry: %v", err)
-	}
-	// The discarded temp file must not linger next to the checkpoint.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("directory holds %d entries after torn-write retry, want just the checkpoint", len(entries))
+	if n := ff.CountOf(fsx.OpReadFile); n != 1 {
+		t.Errorf("ReadFile attempted %d times, want 1", n)
 	}
 }
 
-// TestSaveBytesContextCancellation pins the cancellable retry: a caller
-// shutting down over a failing disk must get out of the backoff schedule
-// as soon as its context dies, with an error naming both the cancellation
-// and the underlying write failure — and must not wait out the remaining
-// backoff (pinned by an hour-long backoff that would hang the test if
-// slept).
-func TestSaveBytesContextCancellation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blob")
-	ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpRename, Nth: 1, Count: -1, Err: syscall.EIO})
-	slow := fsx.RetryPolicy{Attempts: 3, Base: time.Hour}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- SaveBytesWith(ctx, ff, slow, path, []byte("payload")) }()
-	// The first attempt fails immediately; the goroutine is now parked in
-	// the hour-long backoff. Cancel and require a prompt return.
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+// TestEncodeIsEnvelope pins the mapping: a checkpoint file is exactly the
+// envelope of its header (Trees omitted) and one JSON record per tree.
+func TestEncodeIsEnvelope(t *testing.T) {
+	for _, trees := range []int{0, 1, 4} {
+		cp := sampleCheckpoint(trees)
+		got, err := Encode(cp)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(err.Error(), "last error") {
-			t.Errorf("error %q does not carry the underlying write failure", err)
+		head := *cp
+		head.Trees = nil
+		meta, err := json.Marshal(&head)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("SaveBytesWith did not return after cancellation")
+		var records [][]byte
+		for i := range cp.Trees {
+			rec, err := json.Marshal(&cp.Trees[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			records = append(records, rec)
+		}
+		if want := envelope.Encode(Magic, "tree", meta, records); !bytes.Equal(got, want) {
+			t.Errorf("trees=%d: Encode differs from envelope.Encode(Magic, \"tree\", ...)", trees)
+		}
 	}
+}
 
-	// An already-cancelled context still permits the first attempt (no
-	// retry needed on a healthy disk): atomicity and forward progress win
-	// over eager cancellation checks.
-	if err := SaveBytesContext(ctx, path, []byte("payload")); err != nil {
-		t.Fatalf("first-attempt save under a dead context: %v", err)
+// goldenPath is a checkpoint written by an earlier engine and committed
+// with the flat-parity goldens.
+var goldenPath = filepath.Join("..", "..", "testdata", "flatparity", "resume_sticky3.wfcp")
+
+// TestGoldenRoundTrip: the committed checkpoint loads and re-encodes byte
+// for byte, through this package and through the bare envelope codec.
+func TestGoldenRoundTrip(t *testing.T) {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if data, err := os.ReadFile(path); err != nil || string(data) != "payload" {
-		t.Fatalf("saved file = %q, %v", data, err)
+	cp, err := Load(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Encode(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Error("golden checkpoint does not re-encode byte-identically")
+	}
+	meta, records, err := envelope.Decode(Magic, "tree", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(envelope.Encode(Magic, "tree", meta, records), data) {
+		t.Error("golden checkpoint does not round-trip through envelope.Decode/Encode")
 	}
 }

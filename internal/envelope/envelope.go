@@ -1,11 +1,11 @@
-// Package envelope implements the per-record-checksummed line envelope
-// shared by every durable artifact in the repo: checkpoint files
+// Package envelope owns the per-record-checksummed line envelope shared
+// by every durable artifact in the repo: checkpoint files
 // (internal/durable), result-cache entries (internal/rescache), daemon job
 // files (internal/server), and the explorer's memo spill tier
-// (internal/explore). It sits below internal/durable — which re-exports
-// Encode/Decode as EncodeEnvelope/DecodeEnvelope for its callers — so that
-// packages durable itself depends on (the explorer) can use the codec
-// without an import cycle.
+// (internal/explore). It owns the format end to end — Encode/Decode in
+// memory, and the retried ReadFile and atomic WriteFile on disk (file.go)
+// — and sits below internal/durable so that packages durable itself
+// depends on (the explorer) can use the codec without an import cycle.
 //
 // The line format, with a caller-chosen magic line and record kind:
 //
@@ -30,7 +30,7 @@ import (
 )
 
 // ErrCorrupt is the sentinel wrapped by every envelope integrity failure
-// (Decode). internal/durable aliases it as ErrCorruptEnvelope.
+// (Decode, and ReadFile on a file it could read).
 var ErrCorrupt = errors.New("durable: corrupt envelope")
 
 func sum(payload []byte) string {
@@ -121,6 +121,12 @@ func Decode(magic, kind string, data []byte) (header []byte, records [][]byte, e
 				}
 				if got := sum(data[:lineStart]); got != streamSum {
 					return fail("line %d: stream checksum mismatch", lineNo+1)
+				}
+				// Sscanf tolerates "+1", "01" and trailing bytes; only the
+				// trailer Encode writes is accepted, so a clean decode
+				// always re-encodes to its input.
+				if string(payload) != fmt.Sprintf("%d %s", n, streamSum) {
+					return fail("line %d: malformed end record: not canonical", lineNo+1)
 				}
 				sawEnd = true
 			default:

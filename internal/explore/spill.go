@@ -19,7 +19,7 @@ import (
 // and never sets the Degraded flag.
 //
 // Each spilled entry is written as an independent durable envelope
-// (internal/durable line format, magic spillMagic, record kind "sum") at a
+// (internal/envelope line format, magic spillMagic, record kind "sum") at a
 // known offset, so a single entry can be read back and integrity-checked
 // without touching the rest of the file. Envelope payloads must be
 // newline-free; memo keys and summary encodings are arbitrary bytes, so

@@ -1,8 +1,8 @@
 // Package fsx is the repo's single filesystem seam: every disk tier
-// (checkpoint envelopes in internal/durable, result-cache entries in
-// internal/rescache, the explorer's memo spill in internal/explore, the
-// daemon job store in internal/server) performs its file I/O through the
-// FS interface here instead of calling os.* directly. Production code
+// (envelope files written and read by internal/envelope for checkpoints,
+// result-cache entries and daemon jobs; the explorer's memo spill in
+// internal/explore) performs its file I/O through the FS interface here
+// instead of calling os.* directly. Production code
 // passes OS{} (or nil, which every consumer resolves to OS{} via Or);
 // tests pass a *FaultFS (fault.go) to inject deterministic, seedable
 // storage faults — fail-the-Nth-op, torn writes, ENOSPC, fsync failure,

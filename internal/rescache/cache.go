@@ -9,7 +9,7 @@ import (
 	"path/filepath"
 	"sync"
 
-	"waitfree/internal/durable"
+	"waitfree/internal/envelope"
 	"waitfree/internal/fsx"
 )
 
@@ -19,7 +19,7 @@ const (
 	DefaultMemoryBudget = 64 << 20
 
 	// envelopeMagic and recordKind frame disk entries in the
-	// internal/durable envelope format; fileExt names them.
+	// internal/envelope format; fileExt names them.
 	envelopeMagic = "waitfree result cache v1"
 	recordKind    = "report"
 	fileExt       = ".wfres"
@@ -213,8 +213,7 @@ func (c *Cache) Put(key Key, data []byte) error {
 	if c.dir == "" || !c.diskAttempt() {
 		return nil
 	}
-	env := durable.EncodeEnvelope(envelopeMagic, recordKind, []byte(key.Hex()), [][]byte{data})
-	if err := durable.SaveBytesWith(context.Background(), c.fsys, c.policy(), c.path(key), env); err != nil {
+	if err := c.writeDisk(key, data); err != nil {
 		c.noteDiskFailure()
 		return err
 	}
@@ -267,13 +266,8 @@ func (c *Cache) readDisk(key Key) ([]byte, bool) {
 	if c.dir == "" {
 		return nil, false
 	}
-	var raw []byte
-	err := c.policy().Do(context.Background(), func() error {
-		var rerr error
-		raw, rerr = c.fsys.ReadFile(c.path(key))
-		return rerr
-	})
-	if err != nil {
+	header, records, err := envelope.ReadFile(context.Background(), c.fsys, c.policy(), c.path(key), envelopeMagic, recordKind)
+	if err != nil && !errors.Is(err, envelope.ErrCorrupt) {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, false
 		}
@@ -284,7 +278,6 @@ func (c *Cache) readDisk(key Key) ([]byte, bool) {
 		c.healByRemoval(key)
 		return nil, false
 	}
-	header, records, err := durable.DecodeEnvelope(envelopeMagic, recordKind, raw)
 	if string(header) != key.Hex() || len(records) < 1 {
 		c.countError()
 		c.healByRemoval(key)
@@ -297,14 +290,18 @@ func (c *Cache) readDisk(key Key) ([]byte, bool) {
 		// leaving the torn file in place would make every later process
 		// re-decode the failure and bump Errors forever.
 		c.countError()
-		env := durable.EncodeEnvelope(envelopeMagic, recordKind, []byte(key.Hex()), [][]byte{records[0]})
-		if err := durable.SaveBytesWith(context.Background(), c.fsys, c.policy(), c.path(key), env); err != nil {
+		if err := c.writeDisk(key, records[0]); err != nil {
 			c.countError()
 		} else {
 			c.countHeal()
 		}
 	}
 	return records[0], true
+}
+
+// writeDisk atomically replaces the disk entry for key with data.
+func (c *Cache) writeDisk(key Key, data []byte) error {
+	return envelope.WriteFile(context.Background(), c.fsys, c.policy(), c.path(key), envelopeMagic, recordKind, []byte(key.Hex()), [][]byte{data})
 }
 
 // healByRemoval deletes the disk entry for key so it cannot poison later

@@ -11,12 +11,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"waitfree/internal/durable"
 	"waitfree/internal/envelope"
 	"waitfree/internal/fsx"
 )
 
-// Durable job state: one internal/durable envelope per job, rewritten
+// Durable job state: one internal/envelope file per job, rewritten
 // atomically on every transition and on every engine checkpoint
 // autosave. A SIGKILLed daemon therefore loses at most one autosave
 // interval of exploration; on the next start, loadJobs re-queues every
@@ -147,8 +146,7 @@ func (s *store) save(ctx context.Context, j *Job) error {
 	if err != nil {
 		return fmt.Errorf("server: marshal job %s: %w", m.ID, err)
 	}
-	env := durable.EncodeEnvelope(jobMagic, jobKind, []byte(m.ID), [][]byte{data})
-	if err := durable.SaveBytesWith(ctx, s.fsys, s.policy(), s.path(m.ID), env); err != nil {
+	if err := envelope.WriteFile(ctx, s.fsys, s.policy(), s.path(m.ID), jobMagic, jobKind, []byte(m.ID), [][]byte{data}); err != nil {
 		s.failures.Add(1)
 		s.consecFails.Add(1)
 		return fmt.Errorf("server: persist job %s: %w", m.ID, err)
@@ -185,20 +183,8 @@ func (s *store) loadAll(logf func(string, ...any)) ([]*manifest, error) {
 			continue
 		}
 		path := filepath.Join(s.dir, e.Name())
-		var header []byte
-		var records [][]byte
-		rerr := s.policy().Do(context.Background(), func() error {
-			var derr error
-			header, records, derr = envelope.ReadFile(s.fsys, path, jobMagic, jobKind)
-			if derr != nil && errors.Is(derr, envelope.ErrCorrupt) {
-				// Integrity failures are a property of the bytes, not the
-				// read; retrying cannot help. The salvage contract still
-				// applies: an intact first record is a job.
-				return nil
-			}
-			return derr
-		})
-		if rerr != nil {
+		header, records, rerr := envelope.ReadFile(context.Background(), s.fsys, s.policy(), path, jobMagic, jobKind)
+		if rerr != nil && !errors.Is(rerr, envelope.ErrCorrupt) {
 			s.quarantine(path, logf, rerr)
 			continue
 		}

@@ -186,8 +186,9 @@ var (
 	// (temp-file rename, fsync, transient-error retry).
 	SaveCheckpoint = durable.Save
 	// LoadCheckpoint reads a checkpoint file written by SaveCheckpoint
-	// (or a legacy bare-JSON file), verifying every checksum; corruption
-	// surfaces as ErrCorruptCheckpoint with any salvageable prefix
+	// (or a legacy bare-JSON file), retrying transient read errors with
+	// backoff, and verifies every checksum; corruption is never retried
+	// and surfaces as ErrCorruptCheckpoint with any salvageable prefix
 	// attached to the *CorruptCheckpointError.
 	LoadCheckpoint = durable.Load
 	// ErrCorruptCheckpoint is the sentinel wrapped by every checkpoint
