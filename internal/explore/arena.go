@@ -9,14 +9,15 @@ import (
 
 // This file implements the hot path's allocation machinery: dense interned
 // access-counter ids, slab arenas for summary records and their counter
-// slices, a byte arena for cached configuration-segment encodings, and
-// free lists for the per-edge config clones and the summaries that are not
-// retained by the memo. Together they take the per-node allocation count
+// slices, a byte arena for cached configuration-segment encodings, and a
+// free list for the summaries that are not retained by the memo. Together
+// with in-place stepping (every edge mutates the one configuration and
+// restores it, so no edge clones) they take the per-node allocation count
 // from ~8 (summary + counter map + three clone slices + key string + map
 // growth) to amortized fractions of one: slabs are handed out in large
-// chunks, clones and non-retained summaries are recycled immediately after
-// their merge, and whole arenas die with the tree instead of feeding the
-// GC one node at a time.
+// chunks, non-retained summaries are recycled immediately after their
+// merge, and whole arenas die with the tree instead of feeding the GC one
+// node at a time.
 
 // accTable interns accKeys (per-object totals, per-(object, op) counters,
 // per-process step counters) into dense int32 ids, replacing the per-node
@@ -204,35 +205,6 @@ func (e *explorer) growAcc(s *summary, need int) {
 	s.acc = acc
 }
 
-// cloneConfig is the hot-path clone: slice contents are copied into a
-// recycled config when one is available, so steady-state cloning allocates
-// nothing. Under the flat layout the cached segment encodings are carried
-// over (slice headers only — segments are immutable arena bytes).
-func (e *explorer) cloneConfig(c *config) *config {
-	var d *config
-	if n := len(e.freeCfgs); n > 0 {
-		d = e.freeCfgs[n-1]
-		e.freeCfgs = e.freeCfgs[:n-1]
-	} else {
-		d = &config{}
-	}
-	d.objs = append(d.objs[:0], c.objs...)
-	d.procs = append(d.procs[:0], c.procs...)
-	d.objEnc = append(d.objEnc[:0], c.objEnc...)
-	d.procEnc = append(d.procEnc[:0], c.procEnc...)
-	return d
-}
-
-// recycleConfig returns a fully-merged child config to the free list.
-// Configs are strictly stack-scoped (the explorer retains keys, never
-// configs), so recycling after the child's subtree completes is safe.
-func (e *explorer) recycleConfig(c *config) {
-	if e.curConfig == c {
-		e.curConfig = nil // keep the panic/heartbeat breadcrumb honest
-	}
-	e.freeCfgs = append(e.freeCfgs, c)
-}
-
 // encodeObjSeg encodes one object state as an immutable arena segment.
 func (e *explorer) encodeObjSeg(state any) []byte {
 	e.segScratch = e.enc.appendAny(e.segScratch[:0], state)
@@ -321,7 +293,7 @@ type procStep struct {
 // already-encoded pre-state segment plus resp — by the machine contract
 // (deterministic, comparable states) that determines the entire advance,
 // including any chain of zero-access operations it completes. forced marks
-// that the caller set Stepped on the clone (CrashBeforeFirstStep), which
+// that the caller set Stepped on c (CrashBeforeFirstStep), which
 // the stale pre-state segment does not reflect. Errors are not cached.
 // RecordHistory bypasses the cache: a hit would skip the beginOp/endOp
 // history events.
@@ -369,12 +341,18 @@ func (e *explorer) stepProcCached(c *config, p int, resp types.Response, forced 
 }
 
 // flatKey assembles c's memo key from its cached segments into the
-// encoder's reused buffer: byte-identical to configKey's layout
-// (object segments, separator, process segments), but without re-walking
-// any unchanged component. The returned slice is invalidated by the next
-// flatKey/configKey call.
+// encoder's reused buffer, without re-walking any unchanged component. The
+// returned slice is invalidated by the next flatKey call.
 func (e *explorer) flatKey(c *config) []byte {
-	b := e.enc.buf[:0]
+	e.enc.buf = appendFlatKey(e.enc.buf[:0], c)
+	return e.enc.buf
+}
+
+// appendFlatKey appends c's memo key to b: the object segments, a
+// separator, and the process segments. It is the one key rendering of a
+// configuration — the memo's, the panic breadcrumb's and the stall
+// heartbeat's.
+func appendFlatKey(b []byte, c *config) []byte {
 	for _, s := range c.objEnc {
 		b = append(b, s...)
 	}
@@ -382,6 +360,5 @@ func (e *explorer) flatKey(c *config) []byte {
 	for _, s := range c.procEnc {
 		b = append(b, s...)
 	}
-	e.enc.buf = b
 	return b
 }

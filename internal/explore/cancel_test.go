@@ -222,4 +222,10 @@ func TestOptionsValidate(t *testing.T) {
 	if _, err := Run(im, scripts, Options{MaxDepth: -1}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("Run: err = %v, want ErrBadOptions", err)
 	}
+	if _, err := Valency(im, []int{0, 1}, Options{MaxDepth: -1}); !errors.Is(err, ErrBadOptions) {
+		t.Errorf("Valency: err = %v, want ErrBadOptions", err)
+	}
+	if _, err := Dot(im, scripts, Options{MaxDepth: -1}, 100); !errors.Is(err, ErrBadOptions) {
+		t.Errorf("Dot: err = %v, want ErrBadOptions", err)
+	}
 }

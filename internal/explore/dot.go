@@ -21,26 +21,9 @@ var ErrDotBudget = errors.New("explore: execution tree exceeds the DOT node budg
 // digraph with at most maxNodes nodes. Leaves are double circles labeled
 // with the processes' final responses; edges are labeled proc:inv->resp.
 func Dot(im *program.Implementation, scripts [][]types.Invocation, opts Options, maxNodes int) (string, error) {
-	if err := im.Validate(); err != nil {
+	e, root, err := newExplorer(im, scripts, opts)
+	if err != nil {
 		return "", err
-	}
-	if len(scripts) != im.Procs {
-		return "", fmt.Errorf("%w: %d scripts for %d processes", ErrBadScripts, len(scripts), im.Procs)
-	}
-	if opts.MaxDepth == 0 {
-		opts.MaxDepth = DefaultMaxDepth
-	}
-	e := &explorer{im: im, scripts: scripts, opts: opts}
-	e.responses = make([][]types.Response, im.Procs)
-	for p := range e.responses {
-		e.responses[p] = make([]types.Response, 0, 4)
-	}
-	root := &config{objs: im.InitialStates(), procs: make([]procState, im.Procs)}
-	for p := 0; p < im.Procs; p++ {
-		root.procs[p] = procState{Mem: nil}
-		if err := e.startNextOp(root, p, types.Response{}); err != nil {
-			return "", err
-		}
 	}
 
 	var b strings.Builder
@@ -86,31 +69,16 @@ func (d *dotBuilder) walk(c *config, depth int) (int, error) {
 	}
 	fmt.Fprintf(d.b, "  n%d [label=\"%s\"];\n", id, dotStateLabel(c))
 
-	for p := range c.procs {
-		if c.procs[p].Done {
-			continue
-		}
-		act := c.procs[p].Pending
-		decl := &d.e.im.Objects[act.Obj]
-		ts, err := decl.Spec.Apply(c.objs[act.Obj], decl.Port(p), act.Inv)
+	err := d.e.forEachChild(c, func(p int, act program.Action, resp types.Response) error {
+		childID, err := d.walk(c, depth+1)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		for _, t := range ts {
-			child := c.clone()
-			child.objs[act.Obj] = t.Next
-			if err := d.e.startNextOp(child, p, t.Resp); err != nil {
-				return 0, err
-			}
-			childID, err := d.walk(child, depth+1)
-			if err != nil {
-				return 0, err
-			}
-			fmt.Fprintf(d.b, "  n%d -> n%d [label=\"p%d:%s.%v→%v\"];\n",
-				id, childID, p, decl.Name, act.Inv, t.Resp)
-		}
-	}
-	return id, nil
+		fmt.Fprintf(d.b, "  n%d -> n%d [label=\"p%d:%s.%v→%v\"];\n",
+			id, childID, p, d.e.im.Objects[act.Obj].Name, act.Inv, resp)
+		return nil
+	})
+	return id, err
 }
 
 // dotStateLabel renders the object states compactly.

@@ -145,7 +145,7 @@ type Options struct {
 	// StallAfter arms the stall watchdog for the consensus engines: a
 	// supervisor goroutine flags any worker that makes no node progress
 	// for this long, stops the run, and surfaces a *StallError carrying
-	// the worker, its tree, and the config key of its last flushed
+	// the worker, its tree, and the memo key of its last flushed
 	// configuration — turning a wedged Spec.Step or Machine from a silent
 	// hang into a diagnosable report. 0 disables the watchdog. Run ignores
 	// StallAfter.
@@ -481,25 +481,14 @@ type config struct {
 	// objEnc[i] / procEnc[p] cache the key-encoder segment of the
 	// corresponding component (the flat layout): each component is encoded
 	// once, when it changes, and the memo key is assembled by
-	// concatenating the cached segments (explorer.flatKey) instead of
+	// concatenating the cached segments (appendFlatKey) instead of
 	// re-walking the whole configuration per node. Segments are immutable
-	// arena bytes shared freely between a config and its clones. Every
-	// config the explorer builds carries them; configs built elsewhere
-	// (valency, dot) leave them nil and use configKey.
+	// arena bytes. An edge updates a component's segment only after the
+	// component itself is complete, so the segments always spell a
+	// configuration the explorer has entered — even when user code panics
+	// mid-step.
 	objEnc  [][]byte
 	procEnc [][]byte
-}
-
-// clone is the allocation-per-call copy used off the hot path (valency,
-// dot); the explorer's DFS uses cloneConfig (arena.go), which recycles.
-func (c *config) clone() *config {
-	d := &config{
-		objs:  make([]types.State, len(c.objs)),
-		procs: make([]procState, len(c.procs)),
-	}
-	copy(d.objs, c.objs)
-	copy(d.procs, c.procs)
-	return d
 }
 
 // Run explores all executions of im in which process p performs the target
@@ -722,7 +711,6 @@ type explorer struct {
 	segs       byteArena
 	segScratch []byte
 	freeSums   []*summary
-	freeCfgs   []*config
 
 	// The transition cache memoizes Spec.Apply results on the flat path,
 	// keyed by (object, encoded state segment, port, invocation); the step
@@ -743,12 +731,6 @@ type explorer struct {
 	stepVals     []procStep
 	stepScratch  []byte
 
-	// beatEnc renders heartbeat config keys when the stall watchdog is
-	// armed (counters.captureKeys). It is separate from enc, whose buffer
-	// may be mid-append, and lazily allocated so unwatched runs pay
-	// nothing.
-	beatEnc *keyEncoder
-
 	// Path-local data (push/pop around recursion).
 	schedule  []StepRecord
 	responses [][]types.Response
@@ -766,16 +748,15 @@ type explorer struct {
 	violation *Violation
 }
 
-// panicContext renders the recovery breadcrumbs, including the offending
-// configuration's key (hex), for *faults.PanicError. It is only called
-// after a panic, so it may allocate freely — including a fresh key encoder,
-// because the explorer's own encoder may have been mid-append.
+// panicContext renders the recovery breadcrumbs, including the memo key
+// (hex) of the configuration being expanded, for *faults.PanicError. It is
+// only called after a panic, so it allocates a fresh buffer: the encoder's
+// own may have been mid-append.
 func (e *explorer) panicContext() string {
 	if e.curConfig == nil {
 		return "root configuration"
 	}
-	key := newKeyEncoder().configKey(e.curConfig)
-	return fmt.Sprintf("depth %d, config key %x", e.curDepth, key)
+	return fmt.Sprintf("depth %d, config key %x", e.curDepth, appendFlatKey(nil, e.curConfig))
 }
 
 // startNextOp advances process p past any number of operation boundaries:
@@ -997,6 +978,13 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 // crash and a recovery never refunds the budget. With MaxRecoveries=0
 // both sums and branch sets are exactly the crash-stop ones.
 func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoveries int) error {
+	// Every edge steps c in place: it saves the components it changes and
+	// their segments, mutates them, explores the child subtree, and
+	// restores them. Configs are strictly stack-scoped — nothing below
+	// retains the pointer — and every expand call restores c before
+	// returning, so after the restore c is the parent again for the next
+	// edge. Restores come before any other code (merges, error returns) can
+	// observe c.
 	if e.opts.Faults.Enabled() && crashes+recoveries < e.opts.Faults.MaxCrashes {
 		for p := range c.procs {
 			ps := &c.procs[p]
@@ -1006,15 +994,16 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			if e.opts.Faults.Mode == faults.CrashBeforeFirstStep && ps.Stepped {
 				continue
 			}
-			child := e.cloneConfig(c)
-			child.procs[p].Crashed = true
-			child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
+			oldProc, oldProcSeg := *ps, c.procEnc[p]
+			ps.Crashed = true
+			c.procEnc[p] = e.encodeProcSeg(ps)
 			e.schedule = append(e.schedule, StepRecord{Proc: p, Obj: -1, Crash: true})
 			// A crash is not an object access: it consumes no depth budget
 			// and bumps no access counters (mergeCrashChild), matching the
 			// paper's counting of low-level operations only. Termination is
 			// still guaranteed — each crash strictly shrinks the live set.
-			childSum, err := e.dfs(child, depth)
+			childSum, err := e.dfs(c, depth)
+			*ps, c.procEnc[p] = oldProc, oldProcSeg
 			if childSum != nil {
 				e.mergeCrashChild(sum, childSum)
 			}
@@ -1023,21 +1012,20 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 				return err
 			}
 			e.recycleSummary(childSum)
-			e.recycleConfig(child)
 		}
 	}
 	if crashes > 0 && recoveries < e.opts.Faults.MaxRecoveries {
 		for p := range c.procs {
-			if !c.procs[p].Crashed {
+			ps := &c.procs[p]
+			if !ps.Crashed {
 				continue
 			}
 			e.curConfig, e.curProc, e.curDepth = c, p, depth
-			child := e.cloneConfig(c)
-			ps := &child.procs[p]
+			oldProc, oldProcSeg := *ps, c.procEnc[p]
 			ps.Crashed = false
 			ps.Recoveries++
-			// Volatile state is lost; the shared objects (child.objs) and
-			// the process's progress through its script (OpIdx — decided
+			// Volatile state is lost; the shared objects (c.objs) and the
+			// process's progress through its script (OpIdx — decided
 			// operations stay decided) persist. The interrupted operation
 			// re-runs from its start with a fresh machine state and nil
 			// memory.
@@ -1053,16 +1041,17 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 				prevOpen = e.openOp[p]
 			}
 
-			err := e.startNextOp(child, p, types.Response{})
+			err := e.startNextOp(c, p, types.Response{})
 			var childSum *summary
 			if err == nil {
-				child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
+				c.procEnc[p] = e.encodeProcSeg(ps)
 				// Like a crash, a recovery is not an object access: no
 				// depth budget, no access counters. Termination holds
 				// because each recovery strictly increases the total
 				// recovery count, which MaxRecoveries bounds.
-				childSum, err = e.dfs(child, depth)
+				childSum, err = e.dfs(c, depth)
 			}
+			*ps, c.procEnc[p] = oldProc, oldProcSeg
 			if childSum != nil {
 				e.mergeCrashChild(sum, childSum)
 			}
@@ -1080,7 +1069,6 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 				return err
 			}
 			e.recycleSummary(childSum)
-			e.recycleConfig(child)
 		}
 	}
 	for p := range c.procs {
@@ -1098,15 +1086,7 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 		procID := e.procIDs[p]
 		forcedStep := e.opts.Faults.Enabled() && e.opts.Faults.Mode == faults.CrashBeforeFirstStep
 		for _, t := range cts {
-			// Step in place: exactly one object and one process change on
-			// this edge, so instead of cloning the whole configuration
-			// (procStates are pointer-dense — the copies and their write
-			// barriers dominated the hot path) the edge saves the two
-			// changed slots and their segments, mutates, explores the
-			// child subtree, and restores. Configs are strictly
-			// stack-scoped — nothing below retains the pointer — and
-			// every expand call restores c before returning, so after the
-			// restore c is the parent again for the next transition.
+			// Exactly one object and one process change on this edge.
 			oldObj, oldObjSeg := c.objs[act.Obj], c.objEnc[act.Obj]
 			oldProc, oldProcSeg := c.procs[p], c.procEnc[p]
 			c.objs[act.Obj] = t.next
@@ -1123,18 +1103,17 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 				e.clock++ // the access itself is a clock event
 			}
 
-			// The object's successor segment comes pre-encoded with the
-			// cached transition, and the process advances (with its
-			// segment) through the step cache; everything else is shared.
-			c.objEnc[act.Obj] = t.nextEnc
+			// The process advances (with its segment) through the step
+			// cache; the object's successor segment comes pre-encoded with
+			// the cached transition and is installed only once the process
+			// step has completed.
 			err := e.stepProcCached(c, p, t.resp, forcedStep)
 			var childSum *summary
 			if err == nil {
+				c.objEnc[act.Obj] = t.nextEnc
 				childSum, err = e.dfs(c, depth+1)
 			}
 
-			// Restore the parent configuration before any other code
-			// (merges, error returns) can observe c.
 			c.objs[act.Obj], c.objEnc[act.Obj] = oldObj, oldObjSeg
 			c.procs[p], c.procEnc[p] = oldProc, oldProcSeg
 
@@ -1153,6 +1132,46 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 				return err
 			}
 			e.recycleSummary(childSum)
+		}
+	}
+	return nil
+}
+
+// forEachChild steps c in place, through the transition and step caches,
+// to each child reached by an object access of a live process — processes
+// in index order, each process's transitions in Spec.Apply order — and
+// calls visit with the stepping process, its access and the access's
+// response while c is the child. c and the explorer's responses are
+// restored after each visit. It is the stepping of the analyses that walk
+// a fault-free tree without the DFS bookkeeping (Valency, Dot); expand
+// keeps its own loop because its schedule and history undo straddle the
+// step.
+func (e *explorer) forEachChild(c *config, visit func(p int, act program.Action, resp types.Response) error) error {
+	for p := range c.procs {
+		if c.procs[p].Done {
+			continue
+		}
+		act := c.procs[p].Pending
+		cts, err := e.applyCached(c, p, act)
+		if err != nil {
+			return err
+		}
+		for _, t := range cts {
+			oldObj, oldObjSeg := c.objs[act.Obj], c.objEnc[act.Obj]
+			oldProc, oldProcSeg := c.procs[p], c.procEnc[p]
+			respMark := len(e.responses[p])
+			c.objs[act.Obj] = t.next
+			err := e.stepProcCached(c, p, t.resp, false)
+			if err == nil {
+				c.objEnc[act.Obj] = t.nextEnc
+				err = visit(p, act, t.resp)
+			}
+			c.objs[act.Obj], c.objEnc[act.Obj] = oldObj, oldObjSeg
+			c.procs[p], c.procEnc[p] = oldProc, oldProcSeg
+			e.responses[p] = e.responses[p][:respMark]
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -1329,10 +1348,7 @@ func (e *explorer) flushCounters(depth int) {
 	beat.lastProgress.Store(time.Now().UnixNano())
 	beat.depth.Store(int64(depth))
 	if e.ctr.captureKeys && e.curConfig != nil {
-		if e.beatEnc == nil {
-			e.beatEnc = newKeyEncoder()
-		}
-		key := fmt.Sprintf("%x", e.beatEnc.configKey(e.curConfig))
+		key := fmt.Sprintf("%x", appendFlatKey(nil, e.curConfig))
 		beat.key.Store(&key)
 	}
 	if e.ctr.maxNodes > 0 && e.ctr.nodes.Load() >= e.ctr.maxNodes {

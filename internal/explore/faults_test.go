@@ -2,6 +2,7 @@ package explore
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -419,5 +420,81 @@ func TestExplorerPanicRecovery(t *testing.T) {
 			!strings.Contains(string(pe.Stack), "faults_test") {
 			t.Errorf("workers=%d: stack does not reach the panicking machine:\n%s", workers, pe.Stack)
 		}
+	}
+}
+
+// Two machine-state types, so the configuration key interns type ids:
+// every process starts in stA and moves to stB after its first access.
+type stA struct{ N int }
+type stB struct{ R int }
+
+// typeShiftMachine accesses its object twice and panics on the response
+// to its second access, i.e. when stepped from stB. Stepping process 0
+// first from the root reaches the mixed configuration (stB, stA), where
+// expansion panics: the first configuration that names stB before stA.
+var typeShiftMachine = program.FuncMachine{
+	StartFn: func(types.Invocation, any) any { return stA{} },
+	NextFn: func(state any, resp types.Response) (program.Action, any) {
+		switch st := state.(type) {
+		case stA:
+			if st.N == 0 {
+				return program.InvokeAction(0, types.TAS), stA{N: 1}
+			}
+			return program.InvokeAction(0, types.TAS), stB{R: resp.Val}
+		}
+		panic("machine exploded")
+	},
+}
+
+// TestPanicBreadcrumbIsMemoKey pins that the panic breadcrumb and the
+// stall heartbeat name the configuration being expanded by its memo key. The memo's encoder met
+// stA before stB, so a key rendered by any other encoder for the mixed
+// configuration (stB, stA) would intern the two types the other way
+// round and name no configuration the memo has seen.
+func TestPanicBreadcrumbIsMemoKey(t *testing.T) {
+	im := &program.Implementation{
+		Name:   "typeshift",
+		Target: types.Consensus(2),
+		Procs:  2,
+		Objects: []program.ObjectDecl{
+			{Name: "t", Spec: types.TestAndSet(2), Init: 0, PortOf: []int{1, 2}},
+		},
+		Machines: []program.Machine{typeShiftMachine, typeShiftMachine},
+	}
+	e, root, err := newExplorer(im, proposalScripts([]int{0, 1}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.explore(root)
+	var pe *faults.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *faults.PanicError", err)
+	}
+	// The configuration being expanded is the newest gray memo entry (the
+	// deepest one on the DFS stack; nothing was dropped, so ids follow
+	// insertion order).
+	newest := int32(-1)
+	for id, en := range e.memo.ents {
+		if en.sum == nil && e.memo.idx.recs[id].chunk != deadChunk {
+			newest = int32(id)
+		}
+	}
+	if newest < 0 {
+		t.Fatal("no configuration is gray after the panic")
+	}
+	key := fmt.Sprintf("%x", e.memo.idx.key(newest))
+	if want := "depth 1, config key " + key; pe.Proc != 0 || pe.Context != want {
+		t.Errorf("breadcrumb = proc %d, %q\nwant proc 0, %q", pe.Proc, pe.Context, want)
+	}
+	// The stall heartbeat renders the same key from the same breadcrumb.
+	e.ctr = newCounters(1, 1)
+	e.ctr.captureKeys = true
+	e.flushCounters(1)
+	var beat string
+	if kp := e.ctr.beats[0].key.Load(); kp != nil {
+		beat = *kp
+	}
+	if beat != key {
+		t.Errorf("heartbeat key = %q, want the memo key %q", beat, key)
 	}
 }

@@ -17,7 +17,9 @@ import (
 // This file implements the explorer's configuration keys and memo table.
 //
 // A configuration (object states + per-process control states) must be
-// rendered into a map key once per DFS node. The
+// rendered into a map key once per DFS node. The explorer encodes each
+// component once, when it changes, into a cached segment, and assembles
+// the key by concatenating the segments (appendFlatKey, arena.go). The
 // rendering used to be fmt.Sprintf("%#v|%#v", ...), which spends most of
 // its time in fmt's reflection-based formatter; profiles of memoized runs
 // showed the key rendering dominating the exploration itself. The encoder
@@ -29,7 +31,10 @@ import (
 //
 // Keys only need to be injective and stable within one encoder: type-id
 // interning is per-encoder, so encounter order cannot differ between two
-// encodings of equal configs. The memo table still lives for a single
+// encodings of equal configs. Keys from different encoders are not
+// comparable, which is why every key a run renders — memo key, panic
+// breadcrumb, stall heartbeat — is assembled from the segments of the
+// explorer's one encoder. The memo table still lives for a single
 // execution tree — memo hits skip the per-leaf checks, and validity
 // depends on the tree's proposal vector — but the per-tree restriction no
 // longer caps deduplication across symmetric trees: the symmetry layer
@@ -57,8 +62,10 @@ const (
 	tagMap
 )
 
-// keyEncoder renders configurations into compact deterministic byte keys.
-// Not safe for concurrent use; each explorer owns one.
+// keyEncoder renders configuration components into compact deterministic
+// byte segments; a configuration's key is the concatenation of its
+// segments (appendFlatKey). buf is the reused buffer flatKey assembles
+// memo keys in. Not safe for concurrent use; each explorer owns one.
 type keyEncoder struct {
 	buf     []byte
 	typeIDs map[reflect.Type]uint64
@@ -69,22 +76,6 @@ func newKeyEncoder() *keyEncoder {
 		buf:     make([]byte, 0, 256),
 		typeIDs: make(map[reflect.Type]uint64),
 	}
-}
-
-// configKey encodes c into the encoder's reused buffer and returns it. The
-// returned slice is invalidated by the next configKey call; callers that
-// need to retain the key must copy it (string(key)).
-func (e *keyEncoder) configKey(c *config) []byte {
-	b := e.buf[:0]
-	for i := range c.objs {
-		b = e.appendAny(b, c.objs[i])
-	}
-	b = append(b, tagSep)
-	for i := range c.procs {
-		b = e.appendProc(b, &c.procs[i])
-	}
-	e.buf = b
-	return b
 }
 
 // appendProc encodes one process's control state.
@@ -127,7 +118,7 @@ func (e *keyEncoder) appendProc(b []byte, ps *procState) []byte {
 // behaviorally identical processes therefore share a canonical key — the
 // certificate verifyOrbitRoots checks before symmetry reduction trusts a
 // declared SymmetricProcs. Off the memo hot path, so the key is freshly
-// allocated (unlike configKey's reused buffer) and survives later calls.
+// allocated (unlike flatKey's reused buffer) and survives later calls.
 // perm lists the processes in canonical order (perm[i] occupies slot i);
 // equal encodings tie-break by index, keeping the order deterministic.
 func (e *keyEncoder) canonKey(c *config) (key []byte, perm []int) {

@@ -9,7 +9,13 @@ import (
 	"waitfree/internal/types"
 )
 
-func keyOf(e *keyEncoder, c *config) string { return string(e.configKey(c)) }
+// keyOf renders c's memo key under encoder e: every component encoded
+// into a segment, the segments assembled by flatKey.
+func keyOf(e *keyEncoder, c *config) string {
+	x := &explorer{enc: e}
+	x.encodeSegments(c)
+	return string(x.flatKey(c))
+}
 
 func testConfig(objState types.State, mem any, resp types.Response) *config {
 	return &config{
@@ -181,17 +187,18 @@ func FuzzCanonKeyPermutationInvariant(f *testing.F) {
 	})
 }
 
-// BenchmarkConfigKey compares the byte encoder against the fmt rendering
-// it replaced, on a configuration with user-defined (reflection-path)
-// states.
+// BenchmarkConfigKey compares the byte encoder (every segment encoded,
+// then assembled) against the fmt rendering it replaced, on a
+// configuration with user-defined (reflection-path) states.
 func BenchmarkConfigKey(b *testing.B) {
 	type userState struct{ A, B, C int }
 	c := testConfig(userState{1, 2, 3}, userState{4, 5, 6}, types.OK)
 	b.Run("encoder", func(b *testing.B) {
-		e := newKeyEncoder()
+		x := &explorer{enc: newKeyEncoder()}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = e.configKey(c)
+			x.encodeSegments(c)
+			_ = x.flatKey(c)
 		}
 	})
 	b.Run("fmt", func(b *testing.B) {

@@ -63,9 +63,10 @@ type StallError struct {
 	// Mask and Proposals identify the tree the worker was exploring.
 	Mask      int   `json:"mask"`
 	Proposals []int `json:"proposals"`
-	// Depth and ConfigKey locate the worker's last flushed configuration;
-	// ConfigKey is the same hex key the panic handler renders, so the
-	// offending configuration can be identified across runs.
+	// Depth and ConfigKey locate the worker's last flushed configuration.
+	// ConfigKey is that configuration's memo key in hex — the key the
+	// panic handler renders too — so the offending configuration can be
+	// identified across runs.
 	Depth     int    `json:"depth"`
 	ConfigKey string `json:"config_key,omitempty"`
 	// Idle is how long the worker had made no progress when flagged.

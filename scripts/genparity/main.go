@@ -13,6 +13,13 @@
 // the sharded string-keyed memo table, before the single-owner table
 // replaced it.
 //
+// It also writes testdata/valencyparity: for every registry protocol (at
+// its default process count, and at three processes for the scalable
+// ones) the ValencyReport JSON and the Graphviz DOT text of the tree from
+// the mixed proposal vector p%2 that cmd/explore analyzes, or the error
+// text where the analysis fails (a DOT tree over its node budget). These
+// pin Valency and Dot byte for byte (TestValencyDotParity).
+//
 // Two fixtures, sticky3_nomemo and cas3_crashstop_nomemo, are frozen:
 // they were produced by the unmemoized engine, which has since been
 // deleted, so they can no longer be regenerated. genparity skips them, and
@@ -33,11 +40,13 @@ import (
 	"os"
 	"path/filepath"
 
+	"waitfree"
 	"waitfree/internal/consensus"
 	"waitfree/internal/durable"
 	"waitfree/internal/explore"
 	"waitfree/internal/faults"
 	"waitfree/internal/program"
+	"waitfree/internal/types"
 )
 
 // Case is one fixture of the parity grid. The JSON golden is the report of
@@ -252,4 +261,74 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%d/%d trees)\n", path, len(rep.Checkpoint.Trees), rep.Checkpoint.Roots)
+
+	vdir := filepath.Join("testdata", "valencyparity")
+	if err := os.MkdirAll(vdir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	for _, c := range ValencyCases() {
+		im, err := c.Info.Build(c.Procs)
+		if err != nil {
+			log.Fatalf("%s: %v", c.Name, err)
+		}
+		valency, dot := ValencyFixtures(im)
+		for ext, data := range map[string][]byte{".valency.json": valency, ".dot": dot} {
+			path := filepath.Join(vdir, c.Name+ext)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
+		}
+	}
+}
+
+// ValencyCase is one fixture of the valency grid: a registry protocol
+// built at Procs (0 = its default count).
+type ValencyCase struct {
+	Name  string
+	Info  waitfree.ProtocolInfo
+	Procs int
+}
+
+// ValencyCases returns the valency grid: every registry protocol at its
+// default process count, plus a three-process case (suffix _p3) for each
+// scalable one. Shared with the parity test via identical construction.
+func ValencyCases() []ValencyCase {
+	var out []ValencyCase
+	for _, info := range waitfree.Protocols() {
+		out = append(out, ValencyCase{Name: info.Name, Info: info})
+		if info.Scalable() {
+			out = append(out, ValencyCase{Name: info.Name + "_p3", Info: info, Procs: 3})
+		}
+	}
+	return out
+}
+
+// DotBudget is the node budget of the DOT fixtures, the one cmd/explore
+// renders with.
+const DotBudget = 4000
+
+// ValencyFixtures renders the two fixtures of one implementation for the
+// proposal vector p%2: the indented ValencyReport JSON and the DOT text,
+// each replaced by "error: " and the error text when its call fails.
+func ValencyFixtures(im *program.Implementation) (valency, dot []byte) {
+	proposals := make([]int, im.Procs)
+	scripts := make([][]types.Invocation, im.Procs)
+	for p := range proposals {
+		proposals[p] = p % 2
+		scripts[p] = []types.Invocation{types.Propose(p % 2)}
+	}
+	if rep, err := explore.Valency(im, proposals, explore.Options{}); err != nil {
+		valency = []byte("error: " + err.Error() + "\n")
+	} else if valency, err = json.MarshalIndent(rep, "", "  "); err != nil {
+		log.Fatal(err)
+	} else {
+		valency = append(valency, '\n')
+	}
+	if text, err := explore.Dot(im, scripts, explore.Options{}, DotBudget); err != nil {
+		dot = []byte("error: " + err.Error() + "\n")
+	} else {
+		dot = []byte(text)
+	}
+	return valency, dot
 }
