@@ -46,19 +46,19 @@ var parityRequests = []struct {
 	{"consensus", func() waitfree.Request {
 		return waitfree.Request{
 			Kind:           waitfree.KindConsensus,
-			Implementation: waitfree.TAS2Consensus(),
+			Implementation: protocol("tas", 0),
 		}
 	}},
 	{"bound", func() waitfree.Request {
 		return waitfree.Request{
 			Kind:           waitfree.KindBound,
-			Implementation: waitfree.Queue2Consensus(),
+			Implementation: protocol("queue", 0),
 		}
 	}},
 	{"elimination", func() waitfree.Request {
 		return waitfree.Request{
 			Kind:           waitfree.KindElimination,
-			Implementation: waitfree.TAS2Consensus(),
+			Implementation: protocol("tas", 0),
 		}
 	}},
 	{"classification", func() waitfree.Request {
@@ -144,7 +144,7 @@ func TestCachePermutedImplementationHits(t *testing.T) {
 
 	cold, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: waitfree.CASConsensus(3),
+		Implementation: protocol("cas", 3),
 		Explore:        opts,
 		Cache:          cache,
 	})
@@ -155,7 +155,7 @@ func TestCachePermutedImplementationHits(t *testing.T) {
 		t.Fatalf("cold run not stored: %+v", cold.Cache)
 	}
 
-	perm := *waitfree.CASConsensus(3)
+	perm := *protocol("cas", 3)
 	perm.Machines = append(perm.Machines[1:len(perm.Machines):len(perm.Machines)], perm.Machines[0])
 	warm, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
@@ -182,7 +182,7 @@ func TestCachePartialAndResumedBypass(t *testing.T) {
 	mk := func() waitfree.Request {
 		return waitfree.Request{
 			Kind:           waitfree.KindConsensus,
-			Implementation: waitfree.CASRegister3Consensus(),
+			Implementation: protocol("casregister3", 0),
 			Explore:        waitfree.ExploreOptions{Parallelism: 1},
 			Cache:          cache,
 		}
@@ -241,7 +241,7 @@ func TestCachePartialAndResumedBypass(t *testing.T) {
 func TestCacheMemoBudgetUncacheable(t *testing.T) {
 	rep, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: waitfree.TAS2Consensus(),
+		Implementation: protocol("tas", 0),
 		Explore:        waitfree.ExploreOptions{MemoBudget: 8},
 		Cache:          openCache(t, t.TempDir()),
 	})
@@ -261,7 +261,7 @@ func TestCacheCorruptedEntryIsMiss(t *testing.T) {
 	mk := func() waitfree.Request {
 		return waitfree.Request{
 			Kind:           waitfree.KindConsensus,
-			Implementation: waitfree.TAS2Consensus(),
+			Implementation: protocol("tas", 0),
 		}
 	}
 
@@ -329,7 +329,7 @@ func BenchmarkCheckCached(b *testing.B) {
 	mk := func() waitfree.Request {
 		return waitfree.Request{
 			Kind:           waitfree.KindConsensus,
-			Implementation: waitfree.CASConsensus(4),
+			Implementation: protocol("cas", 4),
 			Explore: waitfree.ExploreOptions{
 				Faults: faults.Model{MaxCrashes: 4},
 			},

@@ -25,7 +25,7 @@ import (
 func chaosRequest(fs fsx.FS, spillDir string) waitfree.Request {
 	return waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: waitfree.Queue2Consensus(),
+		Implementation: protocol("queue", 0),
 		Explore: waitfree.ExploreOptions{
 			MemoBudget:   4,
 			MemoSpillDir: spillDir,

@@ -20,10 +20,10 @@ import (
 // Theorem 5 register elimination, zoo classification, and protocol
 // synthesis — runs behind one call, Check(ctx, Request), returning one
 // JSON-marshalable Report. The context gives callers cancellation and
-// deadlines; Request.Explore.OnProgress gives them live engine Stats. The
-// per-pipeline entry points (CheckConsensus, AccessBounds,
-// EliminateRegisters, ClassifyZoo, SynthesizeProtocol, and their Context
-// forms) remain available for callers that want the concrete types.
+// deadlines; Request.Explore.OnProgress gives them live engine Stats. It
+// is the only public way to run a pipeline: the concrete results are the
+// Report's typed halves (Consensus, Elimination, Classifications,
+// Synthesis).
 
 // CheckKind selects the pipeline a Request runs.
 type CheckKind string
@@ -246,6 +246,14 @@ func Check(ctx context.Context, req Request) (*Report, error) {
 	if req.Explore.ResumeFrom != nil && req.Kind != KindConsensus && req.Kind != KindBound {
 		return nil, fmt.Errorf("%w: Explore.ResumeFrom applies to %s and %s checks only",
 			ErrBadRequest, KindConsensus, KindBound)
+	}
+	// Range errors are the caller's, not the protocol's: reject them
+	// before the cache keys them or a pipeline misreports them.
+	if req.Values < 0 || req.Values == 1 {
+		return nil, fmt.Errorf("%w: Values must be 0 (binary) or at least 2, got %d", ErrBadRequest, req.Values)
+	}
+	if req.MaxK < 0 {
+		return nil, fmt.Errorf("%w: MaxK must be 0 (default 3) or positive, got %d", ErrBadRequest, req.MaxK)
 	}
 	if req.Cache != nil {
 		return checkCached(ctx, req, start)

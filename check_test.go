@@ -18,7 +18,7 @@ import (
 func TestCheckConsensus(t *testing.T) {
 	rep, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: waitfree.TAS2Consensus(),
+		Implementation: protocol("tas", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestCheckConsensus(t *testing.T) {
 
 	bad, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: waitfree.NaiveRegisterConsensus(),
+		Implementation: protocol("naive", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestCheckConsensus(t *testing.T) {
 func TestCheckBound(t *testing.T) {
 	rep, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindBound,
-		Implementation: waitfree.Queue2Consensus(),
+		Implementation: protocol("queue", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestCheckBound(t *testing.T) {
 func TestCheckElimination(t *testing.T) {
 	rep, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindElimination,
-		Implementation: waitfree.TAS2Consensus(),
+		Implementation: protocol("tas", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +78,8 @@ func TestCheckElimination(t *testing.T) {
 
 	via53, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindElimination,
-		Implementation: waitfree.NoisySticky2RConsensus(),
-		Substrate:      waitfree.NoisySticky2Consensus(),
+		Implementation: protocol("noisysticky-r", 0),
+		Substrate:      protocol("noisysticky", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +97,8 @@ func TestCheckClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Classifications) == 0 {
-		t.Fatal("empty classification report")
+	if len(rep.Classifications) < 18 {
+		t.Fatalf("zoo size = %d, want at least 18", len(rep.Classifications))
 	}
 	// The zoo holds unbounded types (inc-only) whose triviality searches
 	// truncate: they classify as inconclusive, and OK() refuses to bless
@@ -190,10 +190,30 @@ func TestCheckBadRequest(t *testing.T) {
 			t.Errorf("%+v: err = %v, want ErrBadRequest", req, err)
 		}
 	}
+	// Out-of-range parameters are the caller's fault, not the protocol's,
+	// and fail the same way with and without a cache in front.
+	cache, err := waitfree.OpenCache(waitfree.CacheOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*waitfree.Cache{nil, cache} {
+		for _, req := range []waitfree.Request{
+			{Kind: waitfree.KindConsensus, Implementation: protocol("tas", 0), Values: 1},
+			{Kind: waitfree.KindConsensus, Implementation: protocol("tas", 0), Values: -1},
+			{Kind: waitfree.KindElimination, Implementation: protocol("tas", 0), MaxK: -1},
+		} {
+			req.Cache = c
+			_, err := waitfree.Check(context.Background(), req)
+			if !errors.Is(err, waitfree.ErrBadRequest) || waitfree.ErrorCode(err) != waitfree.CodeBadRequest {
+				t.Errorf("values=%d max_k=%d cache=%v: err = %v (code %s), want ErrBadRequest",
+					req.Values, req.MaxK, c != nil, err, waitfree.ErrorCode(err))
+			}
+		}
+	}
 	// Bad explore options surface their own sentinel.
-	_, err := waitfree.Check(context.Background(), waitfree.Request{
+	_, err = waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: waitfree.TAS2Consensus(),
+		Implementation: protocol("tas", 0),
 		Explore:        waitfree.ExploreOptions{MaxDepth: -1},
 	})
 	if !errors.Is(err, waitfree.ErrBadExploreOptions) {
@@ -207,9 +227,9 @@ func TestCheckCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	reqs := []waitfree.Request{
-		{Kind: waitfree.KindConsensus, Implementation: waitfree.CASRegister3Consensus()},
-		{Kind: waitfree.KindBound, Implementation: waitfree.TAS2Consensus()},
-		{Kind: waitfree.KindElimination, Implementation: waitfree.TAS2Consensus()},
+		{Kind: waitfree.KindConsensus, Implementation: protocol("casregister3", 0)},
+		{Kind: waitfree.KindBound, Implementation: protocol("tas", 0)},
+		{Kind: waitfree.KindElimination, Implementation: protocol("tas", 0)},
 		{Kind: waitfree.KindClassification},
 	}
 	for _, req := range reqs {
@@ -228,7 +248,7 @@ func TestCheckCancellation(t *testing.T) {
 	gate.ReleaseOn(dctx.Done())
 	rep, err := waitfree.Check(dctx, waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: gate.Wrap(waitfree.CASRegister3Consensus()),
+		Implementation: gate.Wrap(protocol("casregister3", 0)),
 		Explore:        waitfree.ExploreOptions{Parallelism: 1},
 	})
 	if err != nil {
@@ -252,7 +272,7 @@ func TestCheckCancellation(t *testing.T) {
 func TestCheckPartialBudget(t *testing.T) {
 	req := waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: waitfree.CASRegister3Consensus(),
+		Implementation: protocol("casregister3", 0),
 		Explore:        waitfree.ExploreOptions{Parallelism: 1, MaxNodes: 500},
 	}
 	rep, err := waitfree.Check(context.Background(), req)
@@ -277,7 +297,7 @@ func TestCheckPartialBudget(t *testing.T) {
 
 	bound := waitfree.Request{
 		Kind:           waitfree.KindBound,
-		Implementation: waitfree.CASRegister3Consensus(),
+		Implementation: protocol("casregister3", 0),
 		Explore:        waitfree.ExploreOptions{Parallelism: 1, MaxNodes: 500},
 	}
 	brep, err := waitfree.Check(context.Background(), bound)

@@ -28,24 +28,32 @@ func run() error {
 
 	// First the input protocol itself, under exhaustive <=1-crash
 	// exploration.
-	input := waitfree.Queue2Consensus()
-	rep, err := waitfree.CheckConsensusContext(ctx, input,
-		waitfree.ExploreOptions{Faults: oneCrash})
+	input, err := waitfree.BuildProtocol("queue", 0)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("input protocol:  %s\n", rep.Summary())
+	rep, err := waitfree.Check(ctx, waitfree.Request{
+		Kind: waitfree.KindConsensus, Implementation: input,
+		Explore: waitfree.ExploreOptions{Faults: oneCrash},
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("input protocol:  %s\n", rep.Consensus.Summary())
 	if !rep.OK() {
 		return fmt.Errorf("queue protocol failed under crash exploration")
 	}
 
 	// Then eliminate its registers (Theorem 5) and re-verify the
 	// register-free output the same way.
-	elim, err := waitfree.EliminateRegistersContext(ctx, input,
-		waitfree.ExploreOptions{Faults: oneCrash}, 3)
+	rep, err = waitfree.Check(ctx, waitfree.Request{
+		Kind: waitfree.KindElimination, Implementation: input, MaxK: 3,
+		Explore: waitfree.ExploreOptions{Faults: oneCrash},
+	})
 	if err != nil {
 		return err
 	}
+	elim := rep.Elimination
 	out := elim.Output
 	outRep := elim.OutputReport
 	fmt.Printf("register-free:   %s\n", outRep.Summary())

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,7 +67,7 @@ func run() error {
 	// Model-check a classic consensus protocol: 2-process consensus from
 	// one test-and-set object plus two SRSW bit registers. The checker
 	// explores every interleaving from every proposal vector.
-	report, err := waitfree.CheckConsensus(waitfree.TAS2Consensus(), waitfree.ExploreOptions{})
+	report, err := checkConsensus("tas")
 	if err != nil {
 		return err
 	}
@@ -74,7 +75,7 @@ func run() error {
 
 	// And watch the checker catch an incorrect protocol: registers alone
 	// cannot solve 2-process consensus.
-	report, err = waitfree.CheckConsensus(waitfree.NaiveRegisterConsensus(), waitfree.ExploreOptions{})
+	report, err = checkConsensus("naive")
 	if err != nil {
 		return err
 	}
@@ -83,4 +84,19 @@ func run() error {
 		fmt.Printf("counterexample schedule has %d steps\n", len(report.Violation.Schedule))
 	}
 	return nil
+}
+
+// checkConsensus builds a protocol from the registry and model-checks it.
+func checkConsensus(name string) (*waitfree.ConsensusReport, error) {
+	im, err := waitfree.BuildProtocol(name, 0)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := waitfree.Check(context.Background(), waitfree.Request{
+		Kind: waitfree.KindConsensus, Implementation: im,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Consensus, nil
 }

@@ -23,7 +23,7 @@ var oneCrash = waitfree.FaultModel{MaxCrashes: 1}
 func TestFaultExplorationPinned(t *testing.T) {
 	rep, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindElimination,
-		Implementation: waitfree.Queue2Consensus(),
+		Implementation: protocol("queue", 0),
 		Explore:        waitfree.ExploreOptions{Faults: oneCrash},
 	})
 	if err != nil {
@@ -41,10 +41,14 @@ func TestFaultExplorationPinned(t *testing.T) {
 	}
 	// The access bounds are a crash-free property (crash edges cost no
 	// low-level operations), so fault exploration must not inflate them.
-	plain, err := waitfree.CheckConsensus(rep.Elimination.Output, waitfree.ExploreOptions{})
+	plainRep, err := waitfree.Check(context.Background(), waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: rep.Elimination.Output,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := plainRep.Consensus
 	if out.Depth != plain.Depth {
 		t.Errorf("crash exploration changed the depth bound: %d vs %d", out.Depth, plain.Depth)
 	}
@@ -94,7 +98,7 @@ func TestCheckCheckpointResume(t *testing.T) {
 	for _, kind := range []waitfree.CheckKind{waitfree.KindConsensus, waitfree.KindBound} {
 		req := waitfree.Request{
 			Kind:           kind,
-			Implementation: waitfree.CASRegister3Consensus(),
+			Implementation: protocol("casregister3", 0),
 			Explore:        waitfree.ExploreOptions{Faults: oneCrash},
 		}
 		partial := cancelAfterFirstTree(t, req)
@@ -114,7 +118,7 @@ func TestCheckCheckpointResume(t *testing.T) {
 
 		resumed, err := waitfree.Check(context.Background(), waitfree.Request{
 			Kind:           kind,
-			Implementation: waitfree.CASRegister3Consensus(),
+			Implementation: protocol("casregister3", 0),
 			Explore:        waitfree.ExploreOptions{Faults: oneCrash, Parallelism: 2},
 			ResumeFrom:     restored,
 		})
@@ -123,7 +127,7 @@ func TestCheckCheckpointResume(t *testing.T) {
 		}
 		full, err := waitfree.Check(context.Background(), waitfree.Request{
 			Kind:           kind,
-			Implementation: waitfree.CASRegister3Consensus(),
+			Implementation: protocol("casregister3", 0),
 			Explore:        waitfree.ExploreOptions{Faults: oneCrash},
 		})
 		if err != nil {
@@ -145,7 +149,7 @@ func TestCheckCheckpointResume(t *testing.T) {
 func TestCheckResumeFromRejected(t *testing.T) {
 	_, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindElimination,
-		Implementation: waitfree.TAS2Consensus(),
+		Implementation: protocol("tas", 0),
 		ResumeFrom:     &waitfree.Checkpoint{},
 	})
 	if !errors.Is(err, waitfree.ErrBadRequest) {
@@ -168,7 +172,7 @@ var oneRecovery = waitfree.FaultModel{
 func TestCheckCrashRecovery(t *testing.T) {
 	good, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: waitfree.TAS2Consensus(),
+		Implementation: protocol("tas", 0),
 		Explore:        waitfree.ExploreOptions{Faults: oneRecovery},
 	})
 	if err != nil {
@@ -180,7 +184,7 @@ func TestCheckCrashRecovery(t *testing.T) {
 
 	rep, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: waitfree.NaiveRegisterConsensus(),
+		Implementation: protocol("naive", 0),
 		Explore:        waitfree.ExploreOptions{Faults: oneRecovery},
 	})
 	if err != nil {
@@ -210,7 +214,7 @@ func TestCheckCrashRecovery(t *testing.T) {
 func TestCheckFaultsOnBrokenProtocol(t *testing.T) {
 	rep, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: waitfree.NaiveRegisterConsensus(),
+		Implementation: protocol("naive", 0),
 		Explore:        waitfree.ExploreOptions{Faults: oneCrash},
 	})
 	if err != nil {

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -87,5 +91,36 @@ func TestE8AdversaryFindsCounterexample(t *testing.T) {
 	}
 	if table.Rows[1][3] != "NO" {
 		t.Errorf("without-registers agreement = %q", table.Rows[1][3])
+	}
+}
+
+// TestE2E9Golden pins the computed part of E2 and E9 — columns, rows and
+// verdict — byte for byte against testdata/{e2,e9}.golden, which
+// scripts/genparity writes. Both experiments check concurrent histories
+// recorded by package stress; the goldens hold their verdicts fixed.
+func TestE2E9Golden(t *testing.T) {
+	for name, run := range map[string]func() (*Table, error){"e2": E2, "e9": E9} {
+		t.Run(name, func(t *testing.T) {
+			table, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.MarshalIndent(struct {
+				Columns []string   `json:"columns"`
+				Rows    [][]string `json:"rows"`
+				Verdict string     `json:"verdict"`
+			}{table.Columns, table.Rows, table.Verdict}, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, '\n')
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s differs from its golden:\n got:\n%s\nwant:\n%s", name, got, want)
+			}
+		})
 	}
 }

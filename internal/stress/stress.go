@@ -1,11 +1,11 @@
-// Package stress provides the concurrent correctness-testing harness used
-// by tests, experiments, and benchmarks: a clock-stamped history recorder,
-// regularity checking for single-writer registers, and ready-made stress
-// drivers for register-like objects. The exhaustive explorer (package
-// explore) proves properties of small instances; this package samples
-// large instances under the Go scheduler and checks the recorded histories
-// with the linearizability checker (package linearize) or the regularity
-// condition.
+// Package stress provides the concurrent correctness-testing harness of
+// the experiments (E2's register chain, E9's universal construction): a
+// clock-stamped history recorder, regularity checking for single-writer
+// registers, and ready-made stress drivers for register-like objects. The
+// exhaustive explorer (package explore) proves properties of small
+// instances; this package samples large instances under the Go scheduler
+// and checks the recorded histories with the linearizability checker
+// (package linearize) or the regularity condition.
 package stress
 
 import (
@@ -81,14 +81,18 @@ func (r *Recorder) CheckAtomic(k, init int) error {
 	return err
 }
 
-// CheckRegular verifies single-writer regularity: every read returns the
-// value of the latest write completed before it, of some overlapping
-// write, or the initial value. A pending write (End == hist.Pending, e.g.
-// the writer crashed mid-operation) never completes before any read; it
-// overlaps every read that begins after it starts, so its value is
-// allowed there. Pending reads returned no value and are skipped.
-func (r *Recorder) CheckRegular(init int) error {
-	h := r.History()
+// CheckRegular verifies the recorded history is single-writer regular
+// (see Regular).
+func (r *Recorder) CheckRegular(init int) error { return Regular(r.History(), init) }
+
+// Regular verifies single-writer regularity of a register history: every
+// read returns the value of the latest write completed before it, of some
+// overlapping write, or the initial value. A pending write (End ==
+// hist.Pending, e.g. the writer crashed mid-operation) never completes
+// before any read; it overlaps every read that begins after it starts, so
+// its value is allowed there. Pending reads returned no value and are
+// skipped.
+func Regular(h hist.History, init int) error {
 	var writes, reads hist.History
 	for _, op := range h {
 		if op.Inv.Op == types.OpWrite {

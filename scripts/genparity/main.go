@@ -20,6 +20,13 @@
 // text where the analysis fails (a DOT tree over its node budget). These
 // pin Valency and Dot byte for byte (TestValencyDotParity).
 //
+// It also writes testdata/examples/<name>.golden, the stdout of every
+// examples/* program (TestExamplesGolden), and
+// internal/experiments/testdata/{e2,e9}.golden, the columns, rows and
+// verdict of experiments E2 and E9 (TestE2E9Golden). These pin the public
+// facade's end-to-end output and the concurrent-history checks of the
+// register chain and the universal construction.
+//
 // Two fixtures, sticky3_nomemo and cas3_crashstop_nomemo, are frozen:
 // they were produced by the unmemoized engine, which has since been
 // deleted, so they can no longer be regenerated. genparity skips them, and
@@ -38,11 +45,13 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"os/exec"
 	"path/filepath"
 
 	"waitfree"
 	"waitfree/internal/consensus"
 	"waitfree/internal/durable"
+	"waitfree/internal/experiments"
 	"waitfree/internal/explore"
 	"waitfree/internal/faults"
 	"waitfree/internal/program"
@@ -279,6 +288,76 @@ func main() {
 			}
 			fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
 		}
+	}
+
+	writeExampleGoldens()
+	writeExperimentGoldens()
+}
+
+// writeExampleGoldens builds every examples/* program and writes its
+// stdout to testdata/examples/<name>.golden.
+func writeExampleGoldens() {
+	bin, err := os.MkdirTemp("", "genparity-examples-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(bin)
+	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./examples/...")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		log.Fatalf("build examples: %v", err)
+	}
+	edir := filepath.Join("testdata", "examples")
+	if err := os.MkdirAll(edir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, main := range names {
+		name := filepath.Base(filepath.Dir(main))
+		out, err := exec.Command(filepath.Join(bin, name)).Output()
+		if err != nil {
+			log.Fatalf("example %s: %v", name, err)
+		}
+		path := filepath.Join(edir, name+".golden")
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote %s (%d bytes)\n", path, len(out))
+	}
+}
+
+// experimentGolden is the pinned part of an experiment table: everything
+// it computes, none of its prose. TestE2E9Golden marshals the same shape.
+type experimentGolden struct {
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
+	Verdict string     `json:"verdict"`
+}
+
+// writeExperimentGoldens writes the experimentGolden JSON of E2 and E9 to
+// internal/experiments/testdata.
+func writeExperimentGoldens() {
+	xdir := filepath.Join("internal", "experiments", "testdata")
+	if err := os.MkdirAll(xdir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	for name, run := range map[string]func() (*experiments.Table, error){"e2": experiments.E2, "e9": experiments.E9} {
+		t, err := run()
+		if err != nil {
+			log.Fatalf("%s: %v", name, err)
+		}
+		data, err := json.MarshalIndent(experimentGolden{Columns: t.Columns, Rows: t.Rows, Verdict: t.Verdict}, "", "  ")
+		if err != nil {
+			log.Fatal(err)
+		}
+		path := filepath.Join(xdir, name+".golden")
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote %s (%d bytes)\n", path, len(data)+1)
 	}
 }
 

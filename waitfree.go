@@ -9,16 +9,21 @@
 //     concurrent data types is provided, including the paper's one-use bit.
 //   - Implementations are sets of typed objects plus one deterministic
 //     program per process (Implementation, Machine).
-//   - The execution-tree explorer enumerates all interleavings and
-//     nondeterministic resolutions of an implementation, decides
-//     agreement/validity/wait-freedom for consensus, and computes the
-//     Section 4.2 access bounds (CheckConsensus).
-//   - EliminateRegisters is the constructive Theorem 5: it rewrites a
+//   - Check(ctx, Request) runs every pipeline and returns one
+//     JSON-marshalable Report. KindConsensus explores every execution of
+//     an implementation and decides agreement, validity, and
+//     wait-freedom; KindBound computes the Section 4.2 access bounds.
+//   - KindElimination is the constructive Theorem 5: it rewrites a
 //     consensus implementation over objects of a non-trivial deterministic
 //     type T plus SRSW-bit registers into one over objects of T alone,
-//     via one-use bits, and verifies the result.
-//   - ClassifyZoo reports triviality, the Section 5.1/5.2 witnesses, and
-//     hierarchy positions for the whole type zoo.
+//     via one-use bits, and verifies the result (Request.Substrate selects
+//     the Section 5.3 route).
+//   - KindClassification reports triviality, the Section 5.1/5.2
+//     witnesses, and hierarchy positions for the whole type zoo;
+//     KindSynthesis searches for a protocol over given objects and
+//     re-verifies what it finds.
+//   - The registry (Protocols, BuildProtocol, ObjectSets) names the
+//     built-in consensus protocols and synthesis object sets.
 //
 // The deeper machinery lives in internal packages (types, program,
 // explore, linearize, registers, onebit, hierarchy, consensus, core,
@@ -28,7 +33,6 @@
 package waitfree
 
 import (
-	"waitfree/internal/consensus"
 	"waitfree/internal/core"
 	"waitfree/internal/durable"
 	"waitfree/internal/explore"
@@ -264,19 +268,6 @@ var (
 	ErrSynthBudget = synth.ErrBudget
 )
 
-// Synthesis entry points.
-var (
-	// SynthesizeProtocol searches for a 2-process consensus protocol over
-	// the given objects, or exhaustively refutes its existence within the
-	// access bound.
-	SynthesizeProtocol = synth.Search
-	// SynthesizeProtocolContext is the context-aware form.
-	SynthesizeProtocolContext = synth.SearchContext
-	// StrategyImplementation converts a synthesized strategy into a
-	// runnable implementation for independent re-verification.
-	StrategyImplementation = synth.Implementation
-)
-
 // Type zoo constructors (see internal/types for the full semantics).
 var (
 	NewRegister       = types.Register
@@ -333,57 +324,11 @@ var (
 	OK = types.OK
 )
 
-// Consensus protocol library (Section 2.3 context: the canonical
-// register-using protocols of Herlihy's hierarchy and their register-free
-// relatives).
-var (
-	// TAS2Consensus is 2-process consensus from test-and-set + SRSW bits.
-	TAS2Consensus = consensus.TAS2
-	// Queue2Consensus is 2-process consensus from a queue + SRSW bits.
-	Queue2Consensus = consensus.Queue2
-	// Stack2Consensus is 2-process consensus from a stack + SRSW bits.
-	Stack2Consensus = consensus.Stack2
-	// FAA2Consensus is 2-process consensus from fetch-and-add + SRSW bits.
-	FAA2Consensus = consensus.FAA2
-	// Swap2Consensus is 2-process consensus from swap + SRSW bits.
-	Swap2Consensus = consensus.Swap2
-	// WeakLeader2Consensus is 2-process consensus from the nondeterministic
-	// WeakLeader type + SRSW bits (Jayanti-separation context).
-	WeakLeader2Consensus = consensus.WeakLeader2
-	// CASConsensus is register-free n-process consensus from one
-	// compare-and-swap object.
-	CASConsensus = consensus.CAS
-	// StickyConsensus is register-free n-process consensus from one
-	// sticky cell.
-	StickyConsensus = consensus.Sticky
-	// AugQueueConsensus is register-free n-process consensus from one
-	// augmented (peekable) queue.
-	AugQueueConsensus = consensus.AugQueue
-	// FetchConsConsensus is register-free n-process consensus from one
-	// fetch-and-cons object, one access per process.
-	FetchConsConsensus = consensus.FetchCons
-	// NoisySticky2Consensus is register-free 2-process consensus from a
-	// nondeterministic noisy-sticky cell (the Section 5.3 substrate).
-	NoisySticky2Consensus = consensus.NoisySticky2
-	// NoisySticky2RConsensus is the register-using variant, the input of
-	// the Section 5.3 pipeline demonstration.
-	NoisySticky2RConsensus = consensus.NoisySticky2R
-	// CASRegister3Consensus is 3-process consensus from compare-and-swap
-	// plus six SRSW announcement bits (a 3-process pipeline input).
-	CASRegister3Consensus = consensus.CASRegister3
-	// NaiveRegisterConsensus is the deliberately incorrect register-only
-	// protocol (registers cannot solve 2-process consensus).
-	NaiveRegisterConsensus = consensus.NaiveRegister2
-	// RegisterUsingProtocols lists the Theorem 5 pipeline inputs.
-	RegisterUsingProtocols = consensus.RegisterUsing
-	// MultiValuedConsensus builds k-valued n-process consensus from binary
-	// consensus objects plus announcement registers (bit-by-bit
-	// agreement).
-	MultiValuedConsensus = multivalue.FromBinary
-	// MultiValuedConsensusSRSW is the 2-process pipeline-compatible
-	// variant over SRSW registers.
-	MultiValuedConsensusSRSW = multivalue.FromBinarySRSW
-)
+// MultiValuedConsensus builds k-valued n-process consensus from binary
+// consensus objects plus announcement registers (bit-by-bit agreement).
+// The built-in protocol library is the registry (Protocols,
+// BuildProtocol).
+var MultiValuedConsensus = multivalue.FromBinary
 
 // Engine observability and option validation (see Check for the unified
 // entry point that ties them together).
@@ -397,23 +342,8 @@ type (
 // validation failure (incompatible or negative fields).
 var ErrBadExploreOptions = explore.ErrBadOptions
 
-// Verification entry points.
+// Execution-tree analyses that Check has no kind for.
 var (
-	// CheckConsensus explores every execution of a consensus
-	// implementation and checks agreement, validity, and wait-freedom.
-	CheckConsensus = explore.Consensus
-	// CheckConsensusK is the k-valued generalization of CheckConsensus.
-	CheckConsensusK = explore.ConsensusK
-	// CheckConsensusContext and CheckConsensusKContext are the
-	// context-aware forms: cancellation/deadlines stop the engine
-	// promptly, and ExploreOptions.OnProgress streams engine statistics.
-	CheckConsensusContext  = explore.ConsensusContext
-	CheckConsensusKContext = explore.ConsensusKContext
-	// Explore runs the execution-tree explorer with explicit per-process
-	// scripts of target invocations.
-	Explore = explore.Run
-	// ExploreContext is Explore under a context.
-	ExploreContext = explore.RunContext
 	// ComputeValency runs the FLP/Herlihy valency analysis of one
 	// execution tree: bivalent/univalent configuration counts and the
 	// critical configurations with their arbitrating objects.
@@ -425,23 +355,8 @@ var (
 // ValencyReport is the result of ComputeValency.
 type ValencyReport = explore.ValencyReport
 
-// The paper's machinery.
+// One-use bit constructions (Sections 4.3, 5.1-5.3).
 var (
-	// EliminateRegisters runs the constructive Theorem 5 pipeline
-	// (deterministic route: Sections 4.2, 4.3, 5.2).
-	EliminateRegisters = core.EliminateRegisters
-	// EliminateRegistersContext is the context-aware form.
-	EliminateRegistersContext = core.EliminateRegistersContext
-	// EliminateRegistersVia53 runs the pipeline's h_m >= 2 route: one-use
-	// bits realized from a register-free 2-consensus substrate over the
-	// implementation's (possibly nondeterministic) type (Section 5.3).
-	EliminateRegistersVia53 = core.EliminateRegistersVia53
-	// EliminateRegistersVia53Context is the context-aware form.
-	EliminateRegistersVia53Context = core.EliminateRegistersVia53Context
-	// AccessBounds runs the Section 4.2 analysis alone.
-	AccessBounds = core.Bound
-	// AccessBoundsContext is the context-aware form.
-	AccessBoundsContext = core.BoundContext
 	// OneUseBitArray builds the standalone Section 4.3 implementation of a
 	// bounded SRSW bit from (w+1) x r one-use bits.
 	OneUseBitArray = onebit.Implementation
@@ -498,13 +413,9 @@ type RunOutcome = runtimepkg.Outcome
 // state (NewRecoverScheduler is the built-in implementation).
 type RecoverScheduler = sched.RecoverScheduler
 
-// Hierarchy analyses.
+// Hierarchy analyses of a single type (KindClassification classifies
+// the whole zoo).
 var (
-	// ClassifyZoo classifies the built-in type zoo.
-	ClassifyZoo = hierarchy.ClassifyZoo
-	// ClassifyZooContext classifies the zoo under a context across
-	// parallel workers.
-	ClassifyZooContext = hierarchy.ClassifyZooContext
 	// Classify classifies one type.
 	Classify = hierarchy.Classify
 	// FindPair searches for a Section 5.2 minimal non-trivial pair.

@@ -1,6 +1,11 @@
 package waitfree_test
 
 import (
+	"bytes"
+	"context"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,51 +15,63 @@ import (
 // The tests in this file exercise the public facade exactly as a
 // downstream user would; deep behavior is tested in the internal packages.
 
-func TestFacadeEliminateRegisters(t *testing.T) {
-	report, err := waitfree.EliminateRegisters(
-		waitfree.TAS2Consensus(), waitfree.ExploreOptions{}, 3)
+// protocol builds a registry protocol for a test; the names are constants,
+// so a failure is a broken registry.
+func protocol(name string, procs int) *waitfree.Implementation {
+	im, err := waitfree.BuildProtocol(name, procs)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	if !report.OutputReport.OK() {
-		t.Fatal(report.OutputReport.Summary())
-	}
-	if !strings.Contains(report.Summary(), "ok=true") {
-		t.Errorf("summary: %s", report.Summary())
-	}
+	return im
 }
 
-func TestFacadeCheckConsensus(t *testing.T) {
-	good, err := waitfree.CheckConsensus(waitfree.CASConsensus(2), waitfree.ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
+// TestExamplesGolden builds every examples/* program once and compares
+// its stdout byte for byte with testdata/examples/<name>.golden, which
+// scripts/genparity writes.
+func TestExamplesGolden(t *testing.T) {
+	mains, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no examples found: %v", err)
 	}
-	if !good.OK() {
-		t.Fatal(good.Summary())
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./examples/...")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build examples: %v\n%s", err, out)
 	}
-	bad, err := waitfree.CheckConsensus(waitfree.NaiveRegisterConsensus(), waitfree.ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad.OK() {
-		t.Fatal("register-only protocol accepted")
+	for _, main := range mains {
+		name := filepath.Base(filepath.Dir(main))
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "examples", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := exec.Command(filepath.Join(bin, name)).Output()
+			if err != nil {
+				t.Fatalf("run %s: %v", name, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("stdout differs from its golden:\n got:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }
 
 func TestFacadeCheckConsensusK(t *testing.T) {
-	report, err := waitfree.CheckConsensusK(
-		waitfree.MultiValuedConsensus(2, 3), 3, waitfree.ExploreOptions{})
+	rep, err := waitfree.Check(context.Background(), waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: waitfree.MultiValuedConsensus(2, 3),
+		Values:         3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.OK() {
-		t.Fatal(report.Summary())
+	if !rep.OK() {
+		t.Fatal(rep.Consensus.Summary())
 	}
-	if report.Roots != 9 {
-		t.Errorf("roots = %d, want 9", report.Roots)
+	if rep.Consensus.Roots != 9 {
+		t.Errorf("roots = %d, want 9", rep.Consensus.Roots)
 	}
 }
-
 func TestFacadeCustomType(t *testing.T) {
 	flag := &waitfree.Spec{
 		Name:          "flag",
@@ -97,22 +114,12 @@ func TestFacadeCustomType(t *testing.T) {
 
 func TestFacadeValency(t *testing.T) {
 	report, err := waitfree.ComputeValency(
-		waitfree.TAS2Consensus(), []int{0, 1}, waitfree.ExploreOptions{})
+		protocol("tas", 0), []int{0, 1}, waitfree.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !report.InitialBivalent || len(report.Critical) == 0 {
 		t.Fatalf("unexpected valency report: %+v", report)
-	}
-}
-
-func TestFacadeZoo(t *testing.T) {
-	cs, err := waitfree.ClassifyZoo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cs) < 18 {
-		t.Errorf("zoo size = %d", len(cs))
 	}
 }
 
@@ -150,7 +157,7 @@ func TestFacadeExportDot(t *testing.T) {
 	scripts := [][]waitfree.Invocation{
 		{waitfree.Propose(0)}, {waitfree.Propose(1)},
 	}
-	dot, err := waitfree.ExportDot(waitfree.CASConsensus(2), scripts, waitfree.ExploreOptions{}, 100)
+	dot, err := waitfree.ExportDot(protocol("cas", 2), scripts, waitfree.ExploreOptions{}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,36 +177,15 @@ func TestFacadeAuditSpec(t *testing.T) {
 	}
 }
 
-func TestFacadeVia53(t *testing.T) {
-	report, err := waitfree.EliminateRegistersVia53(
-		waitfree.NoisySticky2RConsensus(), waitfree.NoisySticky2Consensus(), waitfree.ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.OutputReport.OK() {
-		t.Fatal(report.OutputReport.Summary())
-	}
-}
-
 func TestFacadeFetchCons(t *testing.T) {
-	report, err := waitfree.CheckConsensus(waitfree.FetchConsConsensus(3), waitfree.ExploreOptions{})
+	rep, err := waitfree.Check(context.Background(), waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: protocol("fetchcons", 3),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.OK() || report.Depth != 3 {
-		t.Fatal(report.Summary())
-	}
-}
-
-func TestFacadeSynthesis(t *testing.T) {
-	objects := []waitfree.SynthObject{{Name: "cas", Spec: waitfree.NewCompareSwap(2, 3), Init: 2}}
-	st, _, err := waitfree.SynthesizeProtocol(objects, waitfree.SynthOptions{Depth: 1, Symmetric: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	im := waitfree.StrategyImplementation("t", objects, st, waitfree.SynthOptions{Symmetric: true})
-	report, err := waitfree.CheckConsensus(im, waitfree.ExploreOptions{})
-	if err != nil || !report.OK() {
-		t.Fatalf("%v %v", err, report)
+	if !rep.OK() || rep.Consensus.Depth != 3 {
+		t.Fatal(rep.Consensus.Summary())
 	}
 }
