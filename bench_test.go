@@ -7,6 +7,7 @@
 package waitfree_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"waitfree"
 	"waitfree/internal/consensus"
 	"waitfree/internal/core"
 	"waitfree/internal/durable"
@@ -564,4 +566,30 @@ func BenchmarkSynth(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCheckCachedShared is BenchmarkCheckCached's warm hit on one
+// implementation reused by every request, the way the waitfreed daemon
+// shares a compiled registry protocol: the key's canonical encoding is
+// memoized, so a hit costs the digest, the cache read and DecodeReport.
+// scripts/benchreg gates its allocs/op.
+func BenchmarkCheckCachedShared(b *testing.B) {
+	cache := openCache(b, b.TempDir())
+	req := waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: protocol("cas", 4),
+		Explore:        waitfree.ExploreOptions{Faults: faults.Model{MaxCrashes: 4}},
+		Cache:          cache,
+	}
+	if cold, err := waitfree.Check(context.Background(), req); err != nil || !cold.Cache.Stored {
+		b.Fatalf("cold: err=%v outcome=%+v", err, cold.Cache)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := waitfree.Check(context.Background(), req)
+		if err != nil || !rep.Cache.Hit {
+			b.Fatalf("warm: err=%v outcome=%+v", err, rep.Cache)
+		}
+	}
 }

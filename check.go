@@ -59,6 +59,11 @@ type Request struct {
 	// Kind selects the pipeline.
 	Kind CheckKind
 	// Implementation is the subject of consensus/bound/elimination checks.
+	// Check only reads it. Under a Cache it must not be modified after
+	// the call, nor must Substrate: the cache memoizes an implementation's
+	// canonical encoding by pointer, so a later Check of the same pointer
+	// would be keyed by the old behavior. To vary an implementation, copy
+	// it (the copy is a new pointer and is keyed afresh).
 	Implementation *Implementation
 	// Values is the proposal-value range k for KindConsensus (0 = 2).
 	Values int
@@ -93,6 +98,10 @@ type Request struct {
 	// active cache the report is canonicalized: Elapsed is zero and the
 	// observational Stats blocks are omitted, so cold and warm runs
 	// marshal identically. Report.Cache describes what the cache did.
+	// The key's canonical encoding of Implementation and Substrate is
+	// memoized per pointer (and proposal-value count), so a repeat
+	// request on the same implementation skips re-tabulating it; that is
+	// sound only because neither is modified once passed here.
 	Cache *Cache
 }
 

@@ -19,6 +19,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"waitfree/internal/explore"
 	"waitfree/internal/hierarchy"
@@ -72,12 +74,15 @@ type KeySpec struct {
 // ErrUncacheable for requests whose reports must not be cached, and
 // explore.ErrUncanonical (wrapped) when the implementation's behavior has
 // no bounded canonical encoding; callers should treat any error as
-// "bypass the cache", not as a request failure.
+// "bypass the cache", not as a request failure. The canonical encoding
+// of spec.Implementation and spec.Substrate, or its failure, is memoized
+// per pointer and proposal-value count: neither may be modified after it
+// is first keyed.
 func RequestKey(spec KeySpec) (Key, error) {
 	if err := uncacheable(spec.Explore); err != nil {
 		return Key{}, err
 	}
-	var b []byte
+	b := make([]byte, 0, 64)
 	b = append(b, keyMagic...)
 	b = appendString(b, spec.Kind)
 	var err error
@@ -157,15 +162,73 @@ func appendImplementation(b []byte, im *program.Implementation, k int) ([]byte, 
 	if im == nil {
 		return nil, fmt.Errorf("rescache: nil implementation")
 	}
+	enc, err := canonicalImplementation(im, k)
+	if err != nil {
+		return nil, err
+	}
+	b = slices.Grow(b, binary.MaxVarintLen64+len(enc))
+	return appendBytes(b, enc), nil
+}
+
+// canonMemoCap bounds the canonical-encoding memo. It is a few times the
+// number of distinct (protocol, procs, k) shapes a daemon serves, so
+// steady traffic never clears it; a library caller that builds a fresh
+// Implementation per Check fills it and clears it every canonMemoCap
+// calls, pinning at most that many implementations meanwhile.
+const canonMemoCap = 256
+
+type canonMemoKey struct {
+	im *program.Implementation
+	k  int
+}
+
+// canonMemoEntry is one tabulation's outcome. A failure is memoized like
+// an encoding: explore.ErrUncanonical costs a full walk up to the state
+// budget, and it is as much a function of the implementation as the
+// bytes are.
+type canonMemoEntry struct {
+	enc []byte
+	err error
+}
+
+// canonMemo maps an implementation, by identity, and its proposal-value
+// count to its canonical encoding. Keying by pointer is sound only
+// because an Implementation is never modified once it has been handed to
+// a cached Check (the contract on waitfree.Request.Cache); a modified
+// copy is a new pointer and gets its own entry. The map holds strong
+// references, so an entry's pointer cannot be recycled for another
+// implementation while the entry lives; the table is cleared whole when
+// full.
+var canonMemo struct {
+	sync.Mutex
+	m map[canonMemoKey]canonMemoEntry
+}
+
+// canonicalImplementation returns the canonical encoding of im driven by
+// k proposal values, tabulating it only on the first request. The
+// returned slice is shared and must not be modified.
+func canonicalImplementation(im *program.Implementation, k int) ([]byte, error) {
+	key := canonMemoKey{im, k}
+	canonMemo.Lock()
+	e, ok := canonMemo.m[key]
+	canonMemo.Unlock()
+	if ok {
+		return e.enc, e.err
+	}
+	// Tabulate outside the lock: a concurrent miss on the same key
+	// repeats the work and stores an equal entry.
 	starts := make([]types.Invocation, k)
 	for v := range starts {
 		starts[v] = types.Propose(v)
 	}
-	enc, err := explore.CanonicalImplementation(im, starts)
-	if err != nil {
-		return nil, err
+	e.enc, e.err = explore.CanonicalImplementation(im, starts)
+	canonMemo.Lock()
+	if canonMemo.m == nil || len(canonMemo.m) >= canonMemoCap {
+		canonMemo.m = make(map[canonMemoKey]canonMemoEntry, canonMemoCap)
 	}
-	return appendBytes(b, enc), nil
+	canonMemo.m[key] = e
+	canonMemo.Unlock()
+	return e.enc, e.err
 }
 
 // appendZoo keys the classification pipeline: the encoding of every zoo

@@ -37,7 +37,7 @@ type Job struct {
 	mu sync.Mutex
 
 	id   string
-	wire *WireRequest
+	kind string          // the wire kind; runJob re-decodes raw for the rest
 	raw  json.RawMessage // the submission body, persisted verbatim
 
 	state    JobState
@@ -94,7 +94,7 @@ func (j *Job) viewLocked() *JobView {
 	v := &JobView{
 		ID:            j.id,
 		State:         j.state,
-		Kind:          j.wire.Kind,
+		Kind:          j.kind,
 		Request:       j.raw,
 		OK:            j.ok,
 		Error:         j.err,
@@ -123,14 +123,14 @@ type Event struct {
 
 // hub fans a job's events out to its SSE subscribers. Publishing never
 // blocks: a subscriber that cannot keep up loses intermediate events (the
-// next state snapshot catches it up; stats are periodic anyway).
+// next state snapshot catches it up; stats are periodic anyway). The
+// subscriber map is made on the first subscribe and dropped on close, so
+// a terminal job keeps no map alive.
 type hub struct {
 	mu     sync.Mutex
 	subs   map[chan Event]struct{}
 	closed bool
 }
-
-func newHub() *hub { return &hub{subs: make(map[chan Event]struct{})} }
 
 // subscribe registers a listener. The returned channel is closed when the
 // job reaches a terminal state; unsubscribe with the returned func.
@@ -141,6 +141,9 @@ func (h *hub) subscribe() (<-chan Event, func()) {
 		close(ch)
 		h.mu.Unlock()
 		return ch, func() {}
+	}
+	if h.subs == nil {
+		h.subs = make(map[chan Event]struct{})
 	}
 	h.subs[ch] = struct{}{}
 	h.mu.Unlock()
@@ -186,6 +189,6 @@ func (h *hub) close(ev Event) {
 			}
 		}
 		close(ch)
-		delete(h.subs, ch)
 	}
+	h.subs = nil
 }

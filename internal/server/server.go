@@ -57,9 +57,10 @@ type Options struct {
 // Server is the waitfreed daemon: HTTP handlers, a bounded worker pool,
 // the job table, and the durable job store.
 type Server struct {
-	opts  Options
-	store *store
-	mux   *http.ServeMux
+	opts   Options
+	store  *store
+	mux    *http.ServeMux
+	intern *byteIntern // shares identical bodies and reports across jobs
 
 	mu    sync.Mutex
 	jobs  map[string]*Job
@@ -106,6 +107,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:    opts,
 		store:   st,
+		intern:  newByteIntern(),
 		jobs:    make(map[string]*Job),
 		stop:    make(chan struct{}),
 		started: time.Now(),
@@ -132,27 +134,29 @@ func (s *Server) loadJobs() error {
 	}
 	s.queue = make(chan *Job, depth)
 	for _, m := range manifests {
+		kind := "unknown"
 		wire, _, cerr := DecodeWire(m.Wire)
 		if cerr != nil {
 			// The wire form no longer compiles (registry drift across
 			// versions): surface the job as failed rather than dropping it.
 			s.opts.Logf("job %s no longer compiles: %v", m.ID, cerr)
-			wire = &WireRequest{API: APIVersion, Kind: "unknown"}
+		} else {
+			kind = internKind(wire.Kind)
 		}
 		j := &Job{
 			id:       m.ID,
-			wire:     wire,
-			raw:      m.Wire,
+			kind:     kind,
+			raw:      s.intern.bytes(m.Wire),
 			state:    m.State,
 			err:      m.Error,
 			ok:       m.OK,
-			report:   m.Report,
+			report:   s.intern.bytes(m.Report),
 			chkpoint: m.Checkpoint,
 			resumes:  m.Resumes,
 			created:  m.Created,
 			started:  m.Started,
 			finished: m.Finished,
-			hub:      newHub(),
+			hub:      &hub{},
 		}
 		if cerr != nil && !j.state.Terminal() {
 			j.state = JobFailed
@@ -256,7 +260,7 @@ func (s *Server) runJob(j *Job) {
 		j.mu.Unlock()
 		return
 	}
-	_, req, cerr := DecodeWire(j.raw)
+	wire, req, cerr := DecodeWire(j.raw)
 	if cerr != nil {
 		j.mu.Unlock()
 		s.finishJob(j, nil, cerr)
@@ -264,7 +268,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j.cancel = cancel // the parent cancel, so user cancel and drain preempt the deadline
-	if ms := j.wire.TimeoutMS; ms > 0 {
+	if ms := wire.TimeoutMS; ms > 0 {
 		d := time.Duration(ms) * time.Millisecond
 		if s.opts.MaxTimeout > 0 && d > s.opts.MaxTimeout {
 			d = s.opts.MaxTimeout
@@ -275,7 +279,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	j.state = JobRunning
 	j.started = time.Now()
-	resumable := j.wire.Resumable()
+	resumable := wire.Resumable()
 	if resumable && len(j.chkpoint) > 0 {
 		cp := &waitfree.Checkpoint{}
 		if err := json.Unmarshal(j.chkpoint, cp); err == nil {
@@ -316,7 +320,7 @@ func (s *Server) runJob(j *Job) {
 
 	s.persist(j)
 	j.hub.publish(Event{Type: "state", Data: mustJSON(j.view())})
-	s.opts.Logf("job %s: running (%s %s)", j.id, j.wire.Kind, j.wire.Protocol)
+	s.opts.Logf("job %s: running (%s %s)", j.id, j.kind, wire.Protocol)
 
 	if gateRequest != nil {
 		gateRequest(ctx, &req)
@@ -374,14 +378,13 @@ func (s *Server) finishJob(j *Job, rep *waitfree.Report, err error) {
 		// are all byte-identical.
 		rep.Canonicalize()
 		if data, merr := json.Marshal(rep); merr == nil {
-			j.report = data
+			j.report = s.intern.bytes(data)
 		} else {
 			j.state = JobFailed
 			j.err = &WireError{Code: waitfree.CodeInternal, Message: merr.Error()}
 		}
 		if j.err == nil {
-			ok := rep.OK()
-			j.ok = &ok
+			j.ok = okPtr(rep.OK())
 			j.state = JobDone
 			if rep.Checkpoint == nil {
 				j.chkpoint = nil // complete runs leave no frontier behind
@@ -433,11 +436,11 @@ func (s *Server) submit(raw []byte) (*Job, error) {
 	}
 	j := &Job{
 		id:      newJobID(),
-		wire:    wire,
-		raw:     append(json.RawMessage(nil), raw...),
+		kind:    internKind(wire.Kind),
+		raw:     s.intern.bytes(raw),
 		state:   JobQueued,
 		created: time.Now(),
-		hub:     newHub(),
+		hub:     &hub{},
 	}
 	if err := s.store.save(s.persistCtx, j); err != nil {
 		// Persist-before-enqueue is the durability contract: a job the

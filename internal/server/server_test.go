@@ -172,41 +172,46 @@ func TestSubmitPollAllKinds(t *testing.T) {
 	}
 }
 
+// wireRejectCases are submissions the daemon must refuse at the door,
+// with the status and error code each must get. FuzzDecodeWire seeds its
+// corpus from them.
+var wireRejectCases = []struct {
+	name       string
+	body       string
+	wantStatus int
+	wantCode   string
+}{
+	{"missing api", `{"kind":"consensus","protocol":"cas"}`, 400, "bad_request"},
+	{"wrong api", `{"api":"v2","kind":"consensus","protocol":"cas"}`, 400, "bad_request"},
+	{"unknown kind", `{"api":"v1","kind":"mystery"}`, 400, "bad_request"},
+	{"unknown protocol", `{"api":"v1","kind":"consensus","protocol":"nope"}`, 400, "unknown_protocol"},
+	{"unknown field", `{"api":"v1","kind":"consensus","protocol":"cas","bogus":1}`, 400, "bad_request"},
+	{"missing protocol", `{"api":"v1","kind":"consensus"}`, 400, "bad_request"},
+	{"fixed procs mismatch", `{"api":"v1","kind":"consensus","protocol":"casregister3","procs":2}`, 400, "bad_request"},
+	{"procs above the bound", `{"api":"v1","kind":"consensus","protocol":"cas","procs":65}`, 400, "bad_request"},
+	{"classification with protocol", `{"api":"v1","kind":"classification","protocol":"cas"}`, 400, "bad_request"},
+	{"consensus with objects", `{"api":"v1","kind":"consensus","protocol":"cas","objects":"cas"}`, 400, "bad_request"},
+	{"consensus with max_k", `{"api":"v1","kind":"consensus","protocol":"cas","max_k":2}`, 400, "bad_request"},
+	{"bound with values", `{"api":"v1","kind":"bound","protocol":"cas","values":3}`, 400, "bad_request"},
+	{"elimination with synthesis", `{"api":"v1","kind":"elimination","protocol":"tas","synthesis":{"depth":1}}`, 400, "bad_request"},
+	{"synthesis with protocol", `{"api":"v1","kind":"synthesis","objects":"cas","protocol":"cas"}`, 400, "bad_request"},
+	{"classification with procs", `{"api":"v1","kind":"classification","procs":2}`, 400, "bad_request"},
+	{"synthesis without objects", `{"api":"v1","kind":"synthesis"}`, 400, "bad_request"},
+	{"unknown object set", `{"api":"v1","kind":"synthesis","objects":"nope"}`, 400, "unknown_protocol"},
+	{"bad symmetry", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"symmetry":"sideways"}}`, 400, "bad_request"},
+	{"negative timeout", `{"api":"v1","kind":"consensus","protocol":"cas","timeout_ms":-1}`, 400, "bad_request"},
+	{"recoveries without crashes", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":0,"max_recoveries":1}}}`, 400, "bad_request"},
+	{"recoveries under crash-stop", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":1,"max_recoveries":1}}}`, 400, "bad_request"},
+	{"bad fault mode", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":1,"mode":"byzantine"}}}`, 400, "bad_request"},
+	{"classification with faults", `{"api":"v1","kind":"classification","explore":{"faults":{"max_crashes":1}}}`, 400, "bad_request"},
+	{"not json", `not json`, 400, "bad_request"},
+}
+
 // TestWireRejects pins the submission-validation surface: every
 // malformed body is refused at the door with a taxonomy code.
 func TestWireRejects(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	cases := []struct {
-		name       string
-		body       string
-		wantStatus int
-		wantCode   string
-	}{
-		{"missing api", `{"kind":"consensus","protocol":"cas"}`, 400, "bad_request"},
-		{"wrong api", `{"api":"v2","kind":"consensus","protocol":"cas"}`, 400, "bad_request"},
-		{"unknown kind", `{"api":"v1","kind":"mystery"}`, 400, "bad_request"},
-		{"unknown protocol", `{"api":"v1","kind":"consensus","protocol":"nope"}`, 400, "unknown_protocol"},
-		{"unknown field", `{"api":"v1","kind":"consensus","protocol":"cas","bogus":1}`, 400, "bad_request"},
-		{"missing protocol", `{"api":"v1","kind":"consensus"}`, 400, "bad_request"},
-		{"fixed procs mismatch", `{"api":"v1","kind":"consensus","protocol":"casregister3","procs":2}`, 400, "bad_request"},
-		{"classification with protocol", `{"api":"v1","kind":"classification","protocol":"cas"}`, 400, "bad_request"},
-		{"consensus with objects", `{"api":"v1","kind":"consensus","protocol":"cas","objects":"cas"}`, 400, "bad_request"},
-		{"consensus with max_k", `{"api":"v1","kind":"consensus","protocol":"cas","max_k":2}`, 400, "bad_request"},
-		{"bound with values", `{"api":"v1","kind":"bound","protocol":"cas","values":3}`, 400, "bad_request"},
-		{"elimination with synthesis", `{"api":"v1","kind":"elimination","protocol":"tas","synthesis":{"depth":1}}`, 400, "bad_request"},
-		{"synthesis with protocol", `{"api":"v1","kind":"synthesis","objects":"cas","protocol":"cas"}`, 400, "bad_request"},
-		{"classification with procs", `{"api":"v1","kind":"classification","procs":2}`, 400, "bad_request"},
-		{"synthesis without objects", `{"api":"v1","kind":"synthesis"}`, 400, "bad_request"},
-		{"unknown object set", `{"api":"v1","kind":"synthesis","objects":"nope"}`, 400, "unknown_protocol"},
-		{"bad symmetry", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"symmetry":"sideways"}}`, 400, "bad_request"},
-		{"negative timeout", `{"api":"v1","kind":"consensus","protocol":"cas","timeout_ms":-1}`, 400, "bad_request"},
-		{"recoveries without crashes", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":0,"max_recoveries":1}}}`, 400, "bad_request"},
-		{"recoveries under crash-stop", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":1,"max_recoveries":1}}}`, 400, "bad_request"},
-		{"bad fault mode", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":1,"mode":"byzantine"}}}`, 400, "bad_request"},
-		{"classification with faults", `{"api":"v1","kind":"classification","explore":{"faults":{"max_crashes":1}}}`, 400, "bad_request"},
-		{"not json", `not json`, 400, "bad_request"},
-	}
-	for _, c := range cases {
+	for _, c := range wireRejectCases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
@@ -731,9 +736,9 @@ func TestCrashRecoveryJobFileTruncationSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := &Job{
-		id: "0123456789abcdef", wire: wire, raw: body,
+		id: "0123456789abcdef", kind: wire.Kind, raw: body,
 		state: JobQueued, chkpoint: cpBlob, resumes: 1,
-		created: time.Now(), hub: newHub(),
+		created: time.Now(), hub: &hub{},
 	}
 	if err := src.save(context.Background(), j); err != nil {
 		t.Fatal(err)

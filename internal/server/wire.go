@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
 	"waitfree"
@@ -146,7 +147,9 @@ func badRequest(format string, args ...any) error {
 // strict validation — unknown versions, kinds, names, and fields that do
 // not apply to the kind are all rejected with ErrBadRequest /
 // ErrUnknownProtocol so a malformed submission fails at the door, not on
-// a worker.
+// a worker. The request's Implementation and Substrate are shared with
+// every other compile of the same (protocol, procs) pair and must not be
+// modified.
 func Compile(w *WireRequest) (waitfree.Request, error) {
 	var req waitfree.Request
 	if w.API != APIVersion {
@@ -166,7 +169,7 @@ func Compile(w *WireRequest) (waitfree.Request, error) {
 		if w.Protocol == "" {
 			return badRequest("kind %q requires a protocol name", w.Kind)
 		}
-		im, err := waitfree.BuildProtocol(w.Protocol, w.Procs)
+		im, err := sharedProtocol(w.Protocol, w.Procs)
 		if err != nil {
 			return err
 		}
@@ -205,7 +208,7 @@ func Compile(w *WireRequest) (waitfree.Request, error) {
 			substrate = info.Substrate
 		}
 		if substrate != "" {
-			sub, err := waitfree.BuildProtocol(substrate, 0)
+			sub, err := sharedProtocol(substrate, 0)
 			if err != nil {
 				return req, err
 			}
@@ -247,6 +250,64 @@ func Compile(w *WireRequest) (waitfree.Request, error) {
 		return req, badRequest("unknown kind %q", w.Kind)
 	}
 	return req, nil
+}
+
+// maxWireProcs bounds wire procs. Building a protocol allocates per
+// process, so an unbounded count lets one small body ask for gigabytes;
+// exploration is exhaustive over k^procs proposal vectors, so no count
+// near the bound could finish anyway.
+const maxWireProcs = 64
+
+// protocolMemoCap bounds the compiled-protocol table. The registry has
+// 14 protocols and maxWireProcs bounds procs, so the table could grow to
+// a few hundred entries only under adversarial traffic; it is cleared
+// whole when full.
+const protocolMemoCap = 64
+
+type protocolMemoKey struct {
+	name  string
+	procs int
+}
+
+// protocolMemo resolves a registry (protocol, procs) pair to one shared
+// *waitfree.Implementation, so repeat submissions, and the submit and run
+// compiles of one job, hand the result cache the same pointer and hit its
+// canonical-encoding memo instead of tabulating the protocol again. The
+// shared implementations are read-only: nothing downstream of Compile
+// modifies them (waitfree.Request.Cache states the contract).
+var protocolMemo struct {
+	sync.Mutex
+	m map[protocolMemoKey]*waitfree.Implementation
+}
+
+// sharedProtocol is waitfree.BuildProtocol through protocolMemo. Failed
+// lookups are not memoized: they are cheap, and caching them would let
+// arbitrary names fill the table.
+func sharedProtocol(name string, procs int) (*waitfree.Implementation, error) {
+	if procs > maxWireProcs {
+		return nil, badRequest("procs %d exceeds %d", procs, maxWireProcs)
+	}
+	key := protocolMemoKey{name, procs}
+	protocolMemo.Lock()
+	im, ok := protocolMemo.m[key]
+	protocolMemo.Unlock()
+	if ok {
+		return im, nil
+	}
+	im, err := waitfree.BuildProtocol(name, procs)
+	if err != nil {
+		return nil, err
+	}
+	protocolMemo.Lock()
+	defer protocolMemo.Unlock()
+	if cur, ok := protocolMemo.m[key]; ok {
+		return cur, nil // a concurrent compile stored it first
+	}
+	if protocolMemo.m == nil || len(protocolMemo.m) >= protocolMemoCap {
+		protocolMemo.m = make(map[protocolMemoKey]*waitfree.Implementation, protocolMemoCap)
+	}
+	protocolMemo.m[key] = im
+	return im, nil
 }
 
 // rejectInapplicable enforces the per-kind field discipline Compile
