@@ -207,6 +207,28 @@ func BenchmarkExplorerSticky6(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*nodes), "ns/node")
 }
 
+// BenchmarkExplorerSpill is the explorer's spill path: sticky/5 with
+// symmetry off on one worker, the memo capped at 100 entries and every
+// eviction written to a spill file in a temporary directory and served
+// back from it. It is the spill check of perfbench's check-heavy workload.
+func BenchmarkExplorerSpill(b *testing.B) {
+	im := consensus.Sticky(5)
+	opts := explore.Options{Symmetry: explore.SymmetryOff, Parallelism: 1, MemoBudget: 100, MemoSpillDir: b.TempDir()}
+	b.ReportAllocs()
+	var nodes int64
+	for i := 0; i < b.N; i++ {
+		report, err := explore.Consensus(im, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !report.OK() || report.Stats.MemoSpilled == 0 {
+			b.Fatalf("spilled %d: %s", report.Stats.MemoSpilled, report.Summary())
+		}
+		nodes = report.Stats.Nodes
+	}
+	b.ReportMetric(float64(nodes), "explored-nodes")
+}
+
 // BenchmarkConsensusSymmetry sweeps symmetry reduction across process
 // counts on the register-free n-process protocols: 2^n trees collapse to
 // n+1 orbits, so the off/auto ratio approaches n!/(n+1)-fold less tree

@@ -19,6 +19,11 @@
 // never do; binary payloads are base64-encoded by their callers).
 // Truncation at any byte offset leaves a detectable — and, per record,
 // salvageable — prefix.
+//
+// Every line after the magic is one record line, "<kind> <sha256-hex>
+// <payload>\n". AppendRecord and DecodeRecord are that line's codec on its
+// own, for a caller that checksums single entries without the magic and
+// trailer around them (the memo spill tier writes one line per entry).
 package envelope
 
 import (
@@ -27,6 +32,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // ErrCorrupt is the sentinel wrapped by every envelope integrity failure
@@ -41,16 +47,56 @@ func sum(payload []byte) string {
 // Encode renders header and records into the checksummed envelope format
 // under the given magic line and record kind.
 func Encode(magic, kind string, header []byte, records [][]byte) []byte {
-	var b bytes.Buffer
-	b.WriteString(magic)
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "meta %s %s\n", sum(header), header)
+	b := append([]byte(magic), '\n')
+	b = AppendRecord(b, "meta", header)
 	for _, rec := range records {
-		fmt.Fprintf(&b, "%s %s %s\n", kind, sum(rec), rec)
+		b = AppendRecord(b, kind, rec)
 	}
-	trailer := fmt.Sprintf("%d %s", len(records), sum(b.Bytes()))
-	fmt.Fprintf(&b, "end %s %s\n", sum([]byte(trailer)), trailer)
-	return b.Bytes()
+	trailer := strconv.AppendInt(nil, int64(len(records)), 10)
+	trailer = append(trailer, ' ')
+	trailer = append(trailer, sum(b)...)
+	return AppendRecord(b, "end", trailer)
+}
+
+// hexSumLen is the length of a record's checksum field.
+const hexSumLen = 2 * sha256.Size
+
+// AppendRecord appends one record line, "<kind> <sha256-hex> <payload>\n",
+// to b and returns the extended slice. It is the line Encode writes for
+// the header, each record and the trailer. kind must not contain a space
+// or a newline, and payload must not contain a newline.
+func AppendRecord(b []byte, kind string, payload []byte) []byte {
+	b = append(b, kind...)
+	b = append(b, ' ')
+	h := sha256.Sum256(payload)
+	b = hex.AppendEncode(b, h[:])
+	b = append(b, ' ')
+	b = append(b, payload...)
+	return append(b, '\n')
+}
+
+// DecodeRecord parses line as one record line of the given kind, exactly
+// as AppendRecord writes it (trailing newline included), verifies its
+// checksum, and returns the payload, which aliases line. It accepts only
+// lines AppendRecord can produce, so a clean decode re-encodes to line.
+// Every failure wraps ErrCorrupt.
+func DecodeRecord(kind string, line []byte) ([]byte, error) {
+	n := len(line)
+	if n == 0 || line[n-1] != '\n' {
+		return nil, fmt.Errorf("%w: %s record is not newline-terminated", ErrCorrupt, kind)
+	}
+	line = line[:n-1]
+	if bytes.IndexByte(line, '\n') >= 0 {
+		return nil, fmt.Errorf("%w: %s record spans lines", ErrCorrupt, kind)
+	}
+	got, payload, err := splitLine(line)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if got != kind {
+		return nil, fmt.Errorf("%w: record kind %q (want %q)", ErrCorrupt, truncateForErr([]byte(got)), kind)
+	}
+	return payload, nil
 }
 
 // Decode parses data as an envelope written by Encode with the same magic
@@ -154,9 +200,12 @@ func splitLine(line []byte) (kind string, payload []byte, err error) {
 	if sp < 0 {
 		return kind, nil, fmt.Errorf("%s record has no payload field", kind)
 	}
-	want, payload := string(rest[:sp]), rest[sp+1:]
-	if got := sum(payload); got != want {
-		return kind, nil, fmt.Errorf("%s record checksum mismatch (stored %.12s…, computed %.12s…)", kind, want, got)
+	want, payload := rest[:sp], rest[sp+1:]
+	var got [hexSumLen]byte
+	h := sha256.Sum256(payload)
+	hex.Encode(got[:], h[:])
+	if string(got[:]) != string(want) {
+		return kind, nil, fmt.Errorf("%s record checksum mismatch (stored %.12s…, computed %.12s…)", kind, want, got[:])
 	}
 	return kind, payload, nil
 }

@@ -8,16 +8,16 @@ import (
 )
 
 // This file implements the hot path's allocation machinery: dense interned
-// access-counter ids, slab arenas for summary records and their counter
-// slices, a byte arena for cached configuration-segment encodings, and a
-// free list for the summaries that are not retained by the memo. Together
-// with in-place stepping (every edge mutates the one configuration and
-// restores it, so no edge clones) they take the per-node allocation count
-// from ~8 (summary + counter map + three clone slices + key string + map
-// growth) to amortized fractions of one: slabs are handed out in large
-// chunks, non-retained summaries are recycled immediately after their
-// merge, and whole arenas die with the tree instead of feeding the GC one
-// node at a time.
+// access-counter ids, dense interned configuration-segment ids, slab
+// arenas for summary records and their counter slices, and a free list for
+// the summaries that are not retained by the memo. Together with in-place
+// stepping (every edge mutates the one configuration and restores it, so
+// no edge clones) they take the per-node allocation count from ~8
+// (summary + counter map + three clone slices + key string + map growth)
+// to amortized fractions of one: slabs are handed out in large chunks,
+// non-retained summaries are recycled immediately after their merge, and
+// whole arenas die with the tree instead of feeding the GC one node at a
+// time.
 
 // accTable interns accKeys (per-object totals, per-(object, op) counters,
 // per-process step counters) into dense int32 ids, replacing the per-node
@@ -44,18 +44,16 @@ func (a *accTable) id(k accKey) int32 {
 	return id
 }
 
-// Slab sizes: summaries are handed out in chunks of up to sumSlab, counter
-// slices carved from int32 chunks of up to accSlab, and segment encodings
-// from byte chunks of up to segSlab. Chunks start small and double per
-// refill — explorers are per-tree, and most trees in a consensus sweep are
-// small, so fixed maximal slabs would dominate a small tree's footprint.
-// Exhausted chunks are abandoned to the GC
-// wholesale when the configs/summaries referencing them die — at the
-// latest when the tree completes and the explorer itself is dropped.
+// Slab sizes: summaries are handed out in chunks of up to sumSlab, and
+// counter slices carved from int32 chunks of up to accSlab. Chunks start
+// small and double per refill — explorers are per-tree, and most trees in
+// a consensus sweep are small, so fixed maximal slabs would dominate a
+// small tree's footprint. Exhausted chunks are abandoned to the GC
+// wholesale when the summaries referencing them die — at the latest when
+// the tree completes and the explorer itself is dropped.
 const (
 	sumSlab = 512
 	accSlab = 16 * 1024
-	segSlab = 64 * 1024
 )
 
 // summaryArena hands out summary records and int32 counter slices from
@@ -107,35 +105,6 @@ func (a *summaryArena) allocAcc(n int) []int32 {
 	out := a.acc[:n:n]
 	a.acc = a.acc[n:]
 	return out
-}
-
-// byteArena hands out immutable byte segments (cached component
-// encodings) from slab chunks. The zero value is ready to use.
-type byteArena struct {
-	buf   []byte
-	chunk int
-}
-
-// save copies b into the arena and returns the stored copy, capped at its
-// own length so later saves never alias it.
-func (a *byteArena) save(b []byte) []byte {
-	if cap(a.buf)-len(a.buf) < len(b) {
-		size := a.chunk * 2
-		if size == 0 {
-			size = 2 * 1024
-		}
-		if size > segSlab {
-			size = segSlab
-		}
-		a.chunk = size
-		if len(b) > size {
-			size = len(b)
-		}
-		a.buf = make([]byte, 0, size)
-	}
-	n := len(a.buf)
-	a.buf = append(a.buf, b...)
-	return a.buf[n:len(a.buf):len(a.buf)]
 }
 
 // initAcct builds the dense-id caches on first use: per-process and
@@ -205,44 +174,56 @@ func (e *explorer) growAcc(s *summary, need int) {
 	s.acc = acc
 }
 
-// encodeObjSeg encodes one object state as an immutable arena segment.
-func (e *explorer) encodeObjSeg(state any) []byte {
+// internSeg returns the segment id of the encoding b, interning it on
+// first sight. The id stands for those bytes for the explorer's lifetime:
+// segments are never deleted, so ids are never reused.
+func (e *explorer) internSeg(b []byte) int32 {
+	h := e.segIdx.hash(b)
+	id, slot := e.segIdx.find(b, h)
+	if id < 0 {
+		id = e.segIdx.insert(b, h, slot)
+	}
+	return id
+}
+
+// encodeObjSeg encodes one object state and returns its segment id.
+func (e *explorer) encodeObjSeg(state any) int32 {
 	e.segScratch = e.enc.appendAny(e.segScratch[:0], state)
-	return e.segs.save(e.segScratch)
+	return e.internSeg(e.segScratch)
 }
 
-// encodeProcSeg encodes one process control state as an immutable arena
-// segment.
-func (e *explorer) encodeProcSeg(ps *procState) []byte {
+// encodeProcSeg encodes one process control state and returns its
+// segment id.
+func (e *explorer) encodeProcSeg(ps *procState) int32 {
 	e.segScratch = e.enc.appendProc(e.segScratch[:0], ps)
-	return e.segs.save(e.segScratch)
+	return e.internSeg(e.segScratch)
 }
 
-// encodeSegments (re)builds every cached segment of c — used once at the
+// encodeSegments (re)builds every segment id of c — used once at the
 // root; per-edge updates re-encode only the changed components.
 func (e *explorer) encodeSegments(c *config) {
-	c.objEnc = make([][]byte, len(c.objs))
+	c.objEnc = make([]int32, len(c.objs))
 	for i := range c.objs {
 		c.objEnc[i] = e.encodeObjSeg(c.objs[i])
 	}
-	c.procEnc = make([][]byte, len(c.procs))
+	c.procEnc = make([]int32, len(c.procs))
 	for p := range c.procs {
 		c.procEnc[p] = e.encodeProcSeg(&c.procs[p])
 	}
 }
 
 // cachedTrans is one outcome of an object access with the successor
-// state's flat segment encoded exactly once, when the transition first
-// enters the cache. Cached slices and segments are shared across every
-// edge that replays the transition and are never mutated.
+// state's segment interned exactly once, when the transition first enters
+// the cache. Cached slices are shared across every edge that replays the
+// transition and are never mutated.
 type cachedTrans struct {
 	next    any
 	resp    types.Response
-	nextEnc []byte
+	nextEnc int32
 }
 
 // applyCached is Spec.Apply behind the flat-path transition cache: the
-// cache key reuses the object's already-encoded state segment, so a hit —
+// cache key carries the object's state segment id, so a hit —
 // the overwhelmingly common case, since reachable (state, port, inv)
 // triples are few (bounded by one component's state count, not the
 // configuration count) — costs one hash, one probe and zero allocations,
@@ -255,7 +236,7 @@ func (e *explorer) applyCached(c *config, p int, act program.Action) ([]cachedTr
 	port := decl.Port(p)
 	b := e.transScratch[:0]
 	b = binary.AppendVarint(b, int64(act.Obj))
-	b = append(b, c.objEnc[act.Obj]...)
+	b = appendSegID(b, c.objEnc[act.Obj])
 	b = binary.AppendVarint(b, int64(port))
 	b = appendInvocation(b, act.Inv)
 	e.transScratch = b
@@ -279,20 +260,20 @@ func (e *explorer) applyCached(c *config, p int, act program.Action) ([]cachedTr
 }
 
 // procStep is a cached startNextOp outcome: the stepping process's
-// resulting state, its flat segment (encoded once), and the target
+// resulting state, its segment id (interned once), and the target
 // responses the advance completed (replayed into e.responses on a hit,
 // mirroring endOp; the caller's respMark undo then rewinds them as usual).
 type procStep struct {
 	ps    procState
-	enc   []byte
+	enc   int32
 	resps []types.Response
 }
 
 // stepProcCached advances process p of c over a completed access with
-// response resp, through the step cache. The key is p plus p's
-// already-encoded pre-state segment plus resp — by the machine contract
-// (deterministic, comparable states) that determines the entire advance,
-// including any chain of zero-access operations it completes. forced marks
+// response resp, through the step cache. The key is p plus p's pre-state
+// segment id plus resp — by the machine contract (deterministic,
+// comparable states) that determines the entire advance, including any
+// chain of zero-access operations it completes. forced marks
 // that the caller set Stepped on c (CrashBeforeFirstStep), which
 // the stale pre-state segment does not reflect. Errors are not cached.
 // RecordHistory bypasses the cache: a hit would skip the beginOp/endOp
@@ -312,7 +293,7 @@ func (e *explorer) stepProcCached(c *config, p int, resp types.Response, forced 
 	} else {
 		b = append(b, 0)
 	}
-	b = append(b, c.procEnc[p]...)
+	b = appendSegID(b, c.procEnc[p])
 	b = appendResponse(b, resp)
 	e.stepScratch = b
 	h := e.stepIdx.hash(b)
@@ -340,25 +321,44 @@ func (e *explorer) stepProcCached(c *config, p int, resp types.Response, forced 
 	return nil
 }
 
-// flatKey assembles c's memo key from its cached segments into the
-// encoder's reused buffer, without re-walking any unchanged component. The
-// returned slice is invalidated by the next flatKey call.
+// flatKey assembles c's memo key from its segment ids into the encoder's
+// reused buffer, without re-walking any component: the object ids, then
+// the process ids, segIDBytes each. The explorer's component counts are
+// fixed, so the tuple needs no separator, and equal tuples are exactly
+// equal segment-byte renderings (appendConfigBytes) because an id stands
+// for one encoding. The returned slice is invalidated by the next flatKey
+// call.
 func (e *explorer) flatKey(c *config) []byte {
-	e.enc.buf = appendFlatKey(e.enc.buf[:0], c)
-	return e.enc.buf
+	b := e.enc.buf[:0]
+	for _, id := range c.objEnc {
+		b = appendSegID(b, id)
+	}
+	for _, id := range c.procEnc {
+		b = appendSegID(b, id)
+	}
+	e.enc.buf = b
+	return b
 }
 
-// appendFlatKey appends c's memo key to b: the object segments, a
-// separator, and the process segments. It is the one key rendering of a
-// configuration — the memo's, the panic breadcrumb's and the stall
-// heartbeat's.
-func appendFlatKey(b []byte, c *config) []byte {
-	for _, s := range c.objEnc {
-		b = append(b, s...)
+// segIDBytes is the width of one segment id in a key.
+const segIDBytes = 4
+
+func appendSegID(b []byte, id int32) []byte {
+	return binary.LittleEndian.AppendUint32(b, uint32(id))
+}
+
+// appendConfigBytes appends the segment-byte rendering of c to b: the
+// object segments, a separator, and the process segments, each resolved
+// from its id. It is the configuration's name outside the explorer — the
+// panic breadcrumb's and the stall heartbeat's — and, segment by segment,
+// the same information as the memo key.
+func (e *explorer) appendConfigBytes(b []byte, c *config) []byte {
+	for _, id := range c.objEnc {
+		b = append(b, e.segIdx.key(id)...)
 	}
 	b = append(b, tagSep)
-	for _, s := range c.procEnc {
-		b = append(b, s...)
+	for _, id := range c.procEnc {
+		b = append(b, e.segIdx.key(id)...)
 	}
 	return b
 }

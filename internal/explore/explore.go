@@ -145,7 +145,7 @@ type Options struct {
 	// StallAfter arms the stall watchdog for the consensus engines: a
 	// supervisor goroutine flags any worker that makes no node progress
 	// for this long, stops the run, and surfaces a *StallError carrying
-	// the worker, its tree, and the memo key of its last flushed
+	// the worker, its tree, and the key of its last flushed
 	// configuration — turning a wedged Spec.Step or Machine from a silent
 	// hang into a diagnosable report. 0 disables the watchdog. Run ignores
 	// StallAfter.
@@ -478,17 +478,16 @@ type config struct {
 	objs  []types.State
 	procs []procState
 
-	// objEnc[i] / procEnc[p] cache the key-encoder segment of the
-	// corresponding component (the flat layout): each component is encoded
-	// once, when it changes, and the memo key is assembled by
-	// concatenating the cached segments (appendFlatKey) instead of
-	// re-walking the whole configuration per node. Segments are immutable
-	// arena bytes. An edge updates a component's segment only after the
-	// component itself is complete, so the segments always spell a
-	// configuration the explorer has entered — even when user code panics
-	// mid-step.
-	objEnc  [][]byte
-	procEnc [][]byte
+	// objEnc[i] / procEnc[p] hold the segment id of the corresponding
+	// component (the flat layout): each component is encoded once, when it
+	// changes, and interned in the explorer's segment table (segIdx), and
+	// the memo key is the tuple of ids (flatKey) instead of a re-walk of
+	// the whole configuration per node. An edge updates a component's id
+	// only after the component itself is complete, so the ids always spell
+	// a configuration the explorer has entered — even when user code
+	// panics mid-step.
+	objEnc  []int32
+	procEnc []int32
 }
 
 // Run explores all executions of im in which process p performs the target
@@ -702,20 +701,24 @@ type explorer struct {
 	objIDs  []int32
 	opIDs   []map[string]int32
 
-	// Allocation machinery (arena.go): slab arenas for summaries, counter
-	// slices, and segment encodings, plus free lists for configs and
-	// non-retained summaries. segScratch is the reusable encode buffer
+	// Allocation machinery (arena.go): slab arenas for summaries and
+	// counter slices, and a free list for non-retained summaries.
+	sums     summaryArena
+	freeSums []*summary
+
+	// segIdx interns every component encoding (segment) the explorer
+	// renders into a dense id; configurations, both step caches and the
+	// memo key carry ids, and segIdx.key turns an id back into its bytes.
+	// Segments are never deleted. segScratch is the reusable encode buffer
 	// behind encodeObjSeg/encodeProcSeg (separate from enc.buf, which may
 	// hold an assembled key).
-	sums       summaryArena
-	segs       byteArena
+	segIdx     keyIndex
 	segScratch []byte
-	freeSums   []*summary
 
 	// The transition cache memoizes Spec.Apply results on the flat path,
-	// keyed by (object, encoded state segment, port, invocation); the step
-	// cache does the same for startNextOp, keyed by (process, encoded
-	// pre-state segment, response). Each is a keyIndex over the key bytes
+	// keyed by (object, state segment id, port, invocation); the step
+	// cache does the same for startNextOp, keyed by (process, pre-state
+	// segment id, response). Each is a keyIndex over the key bytes
 	// with its values in a slice at the index's ids. Sound because
 	// Spec.Step and machines are documented as deterministic pure
 	// functions (the same contract Parallelism > 1 relies on) and the
@@ -748,15 +751,16 @@ type explorer struct {
 	violation *Violation
 }
 
-// panicContext renders the recovery breadcrumbs, including the memo key
-// (hex) of the configuration being expanded, for *faults.PanicError. It is
-// only called after a panic, so it allocates a fresh buffer: the encoder's
-// own may have been mid-append.
+// panicContext renders the recovery breadcrumbs, including the segment
+// bytes (hex, appendConfigBytes) of the configuration being expanded —
+// its memo key with every id resolved — for *faults.PanicError. It is only
+// called after a panic, so it allocates a fresh buffer: the encoder's own
+// may have been mid-append.
 func (e *explorer) panicContext() string {
 	if e.curConfig == nil {
 		return "root configuration"
 	}
-	return fmt.Sprintf("depth %d, config key %x", e.curDepth, appendFlatKey(nil, e.curConfig))
+	return fmt.Sprintf("depth %d, config key %x", e.curDepth, e.appendConfigBytes(nil, e.curConfig))
 }
 
 // startNextOp advances process p past any number of operation boundaries:
@@ -1348,7 +1352,7 @@ func (e *explorer) flushCounters(depth int) {
 	beat.lastProgress.Store(time.Now().UnixNano())
 	beat.depth.Store(int64(depth))
 	if e.ctr.captureKeys && e.curConfig != nil {
-		key := fmt.Sprintf("%x", appendFlatKey(nil, e.curConfig))
+		key := fmt.Sprintf("%x", e.appendConfigBytes(nil, e.curConfig))
 		beat.key.Store(&key)
 	}
 	if e.ctr.maxNodes > 0 && e.ctr.nodes.Load() >= e.ctr.maxNodes {

@@ -446,12 +446,11 @@ var typeShiftMachine = program.FuncMachine{
 	},
 }
 
-// TestPanicBreadcrumbIsMemoKey pins that the panic breadcrumb and the
-// stall heartbeat name the configuration being expanded by its memo key. The memo's encoder met
-// stA before stB, so a key rendered by any other encoder for the mixed
-// configuration (stB, stA) would intern the two types the other way
-// round and name no configuration the memo has seen.
-func TestPanicBreadcrumbIsMemoKey(t *testing.T) {
+// typeShiftPanic explores the two-process typeShiftMachine protocol, whose
+// expansion of (stB, stA) panics, and returns the explorer with the
+// recovered *faults.PanicError.
+func typeShiftPanic(t *testing.T) (*explorer, *faults.PanicError) {
+	t.Helper()
 	im := &program.Implementation{
 		Name:   "typeshift",
 		Target: types.Consensus(2),
@@ -470,6 +469,17 @@ func TestPanicBreadcrumbIsMemoKey(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *faults.PanicError", err)
 	}
+	return e, pe
+}
+
+// TestPanicBreadcrumbIsMemoKey pins that the panic breadcrumb and the
+// stall heartbeat name the configuration being expanded by its memo key,
+// each segment id resolved to its bytes. The memo's encoder met
+// stA before stB, so a key rendered by any other encoder for the mixed
+// configuration (stB, stA) would intern the two types the other way
+// round and name no configuration the memo has seen.
+func TestPanicBreadcrumbIsMemoKey(t *testing.T) {
+	e, pe := typeShiftPanic(t)
 	// The configuration being expanded is the newest gray memo entry (the
 	// deepest one on the DFS stack; nothing was dropped, so ids follow
 	// insertion order).
@@ -482,7 +492,7 @@ func TestPanicBreadcrumbIsMemoKey(t *testing.T) {
 	if newest < 0 {
 		t.Fatal("no configuration is gray after the panic")
 	}
-	key := fmt.Sprintf("%x", e.memo.idx.key(newest))
+	key := fmt.Sprintf("%x", segmentBytes(e, e.memo.idx.key(newest)))
 	if want := "depth 1, config key " + key; pe.Proc != 0 || pe.Context != want {
 		t.Errorf("breadcrumb = proc %d, %q\nwant proc 0, %q", pe.Proc, pe.Context, want)
 	}

@@ -18,30 +18,36 @@ import (
 //
 // A configuration (object states + per-process control states) must be
 // rendered into a map key once per DFS node. The explorer encodes each
-// component once, when it changes, into a cached segment, and assembles
-// the key by concatenating the segments (appendFlatKey, arena.go). The
-// rendering used to be fmt.Sprintf("%#v|%#v", ...), which spends most of
-// its time in fmt's reflection-based formatter; profiles of memoized runs
-// showed the key rendering dominating the exploration itself. The encoder
-// below writes the same information into a reused byte buffer with
-// hand-rolled fast paths for the framework's own value types (ints,
+// component once, when it changes, into a segment, interns the segment's
+// bytes into a dense id (segIdx), and assembles the key as the fixed-width
+// tuple of the components' ids (flatKey, arena.go): 4 bytes per component
+// however large its state, so hashing, comparing and storing a key costs
+// the same for every protocol of a given size. The segment bytes stay in
+// the segment table, which renders a configuration's bytes on demand
+// (appendConfigBytes) for the panic breadcrumb and the stall heartbeat.
+// The rendering used to be fmt.Sprintf("%#v|%#v", ...), which spends most
+// of its time in fmt's reflection-based formatter; profiles of memoized
+// runs showed the key rendering dominating the exploration itself. The
+// encoder below writes the same information into a reused byte buffer
+// with hand-rolled fast paths for the framework's own value types (ints,
 // strings, Response, Invocation, Action) and a single reflection walk for
 // user-defined machine/object states, interning their reflect.Types into
 // small ids.
 //
-// Keys only need to be injective and stable within one encoder: type-id
-// interning is per-encoder, so encounter order cannot differ between two
-// encodings of equal configs. Keys from different encoders are not
-// comparable, which is why every key a run renders — memo key, panic
-// breadcrumb, stall heartbeat — is assembled from the segments of the
-// explorer's one encoder. The memo table still lives for a single
-// execution tree — memo hits skip the per-leaf checks, and validity
-// depends on the tree's proposal vector — but the per-tree restriction no
-// longer caps deduplication across symmetric trees: the symmetry layer
-// (symmetry.go) goes further than sharing a table across the orbit of a
-// proposal vector's permutations, skipping the member trees outright and
-// replaying the representative's outcome, with canonKey certifying at the
-// roots that the orbit really is one tree up to process renaming.
+// Keys only need to be injective and stable within one explorer: type-id
+// interning is per-encoder and segment-id interning per segment table, so
+// encounter order cannot differ between two encodings of equal configs.
+// Keys from different explorers are not comparable, which is why every
+// key a run renders — memo key, panic breadcrumb, stall heartbeat — comes
+// from the segments of the explorer's one encoder and one segment table.
+// The memo table still lives for a single execution tree — memo hits skip
+// the per-leaf checks, and validity depends on the tree's proposal vector
+// — but the per-tree restriction no longer caps deduplication across
+// symmetric trees: the symmetry layer (symmetry.go) goes further than
+// sharing a table across the orbit of a proposal vector's permutations,
+// skipping the member trees outright and replaying the representative's
+// outcome, with canonKey certifying at the roots that the orbit really is
+// one tree up to process renaming.
 
 // Key tags. Every encoded value starts with a tag byte so that values of
 // different shapes can never collide byte-wise (e.g. int 1 vs true vs "1").
@@ -63,9 +69,9 @@ const (
 )
 
 // keyEncoder renders configuration components into compact deterministic
-// byte segments; a configuration's key is the concatenation of its
-// segments (appendFlatKey). buf is the reused buffer flatKey assembles
-// memo keys in. Not safe for concurrent use; each explorer owns one.
+// byte segments, which the explorer interns into segment ids. buf is the
+// reused buffer flatKey assembles memo keys (id tuples) in. Not safe for
+// concurrent use; each explorer owns one.
 type keyEncoder struct {
 	buf     []byte
 	typeIDs map[reflect.Type]uint64
@@ -427,8 +433,13 @@ func (x *keyIndex) delete(id int32) {
 }
 
 // compactMin is the dead-byte floor below which compaction is not worth
-// a pass: small tables just keep their garbage.
-const compactMin = 16 * 1024
+// a pass: small tables just keep their garbage. It is one minimum chunk:
+// memo keys are short id tuples (segIDBytes per component), so a higher
+// floor would let a budgeted table's dead keys outgrow an unbounded
+// table's live ones. Compaction still runs only once the dead bytes
+// exceed the live ones, so its cost stays amortized O(1) per deleted
+// byte.
+const compactMin = keyChunkMin
 
 // compact copies every live key, in id order, into a fresh arena and
 // drops the old chunks, so the arena holds at most about twice the live

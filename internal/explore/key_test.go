@@ -9,12 +9,15 @@ import (
 	"waitfree/internal/types"
 )
 
-// keyOf renders c's memo key under encoder e: every component encoded
-// into a segment, the segments assembled by flatKey.
+// keyOf renders c's memo key under encoder e as segment bytes: every
+// component encoded into a segment by a fresh explorer, the segments
+// resolved by appendConfigBytes. Comparing byte renderings rather than id
+// tuples keeps the tests below about the encoder; that id tuples are
+// equal exactly when these renderings are is TestSegmentKeyBijection's.
 func keyOf(e *keyEncoder, c *config) string {
 	x := &explorer{enc: e}
 	x.encodeSegments(c)
-	return string(x.flatKey(c))
+	return string(x.appendConfigBytes(nil, c))
 }
 
 func testConfig(objState types.State, mem any, resp types.Response) *config {

@@ -12,19 +12,24 @@ import (
 
 // This file implements the memo table's disk-spill tier (Options.
 // MemoSpillDir): instead of forgetting an evicted summary, the table
-// serializes it into a per-record checksummed durable envelope appended to
-// a spill file, remembers the record's offset, and serves it back on a
-// later lookup. A budgeted run with a spill tier therefore scores exactly
-// the memo hits of an unbounded run — the budget trades memory for disk —
-// and never sets the Degraded flag.
+// serializes it into a checksummed record line appended to a spill file,
+// remembers the line's offset, and serves it back on a later lookup. A
+// budgeted run with a spill tier therefore scores exactly the memo hits of
+// an unbounded run — the budget trades memory for disk — and never sets
+// the Degraded flag.
 //
-// Each spilled entry is written as an independent durable envelope
-// (internal/envelope line format, magic spillMagic, record kind "sum") at a
-// known offset, so a single entry can be read back and integrity-checked
-// without touching the rest of the file. Envelope payloads must be
-// newline-free; memo keys and summary encodings are arbitrary bytes, so
-// both are base64-encoded (the key as the header — verified on load
-// against the requested key — and the summary as the single record).
+// Each spilled entry is one envelope record line (envelope.AppendRecord,
+// record kind "sum") at a known offset, so a single entry can be read back
+// and integrity-checked without touching the rest of the file:
+//
+//	sum <sha256-hex> <base64(uvarint len(key) ‖ key ‖ summary)>\n
+//
+// Record payloads must be newline-free and memo keys and summary
+// encodings are arbitrary bytes, so the payload is base64. A load verifies
+// the checksum, then the stored key against the requested one. One line
+// costs one SHA-256 each way; the whole envelope it replaced (magic, meta,
+// record and trailer, with a base64 key header) cost four and an fmt pass,
+// most of a spill check's time.
 //
 // The spill file is private to one memo table (one execution tree),
 // created lazily in MemoSpillDir on the first eviction and deleted when
@@ -41,12 +46,9 @@ import (
 // spill tier; it only loses hits, and `lost` reports honestly when it
 // has.
 
-const (
-	spillMagic = "waitfree-memospill-v1"
-	spillKind  = "sum"
-)
+const spillKind = "sum"
 
-// spillRef locates one entry's envelope within the spill file.
+// spillRef locates one entry's record line within the spill file.
 type spillRef struct {
 	off int64
 	len int
@@ -55,15 +57,18 @@ type spillRef struct {
 // memoSpill is the disk tier behind a memoTable. Like the table it
 // belongs to one explorer and runs on that explorer's goroutine. Its
 // index stays a map keyed by string: it is consulted only on a resident
-// miss and written only on an eviction, and each store or load pays an
-// envelope encode or decode and a disk write or read, so the map is
-// nowhere near the spill path's cost.
+// miss and written only on an eviction, and each store or load pays a
+// record-line encode or decode and a disk write or read, which cost far
+// more than the map. buf is the reused record buffer of
+// both directions: a stored line is written before store returns, and a
+// loaded one is decoded into a fresh summary before load returns.
 type memoSpill struct {
 	dir   string
 	fsys  fsx.FS
 	f     fsx.File
 	index map[string]spillRef
 	off   int64
+	buf   []byte
 
 	broken  bool // tier dead for the rest of the tree
 	rebuilt bool // the one allowed rebuild has been spent
@@ -105,14 +110,15 @@ func (sp *memoSpill) writeBlock(block []byte) error {
 	})
 }
 
-// store appends sum's envelope to the spill file. It reports whether the
+// store appends sum's record line to the spill file. It reports whether the
 // entry is durably spilled; on false the caller degrades for this entry.
 // An unabsorbed write failure buys one rebuild before breaking the tier.
 func (sp *memoSpill) store(key string, sum *summary) bool {
 	if sp.broken {
 		return false
 	}
-	block := encodeSpillRecord(key, sum)
+	block := appendSpillRecord(sp.buf[:0], key, sum)
+	sp.buf = block
 	if sp.writeBlock(block) != nil {
 		if !sp.rebuild() || sp.writeBlock(block) != nil {
 			sp.breakTier()
@@ -125,7 +131,7 @@ func (sp *memoSpill) store(key string, sum *summary) bool {
 }
 
 // load reads the entry spilled under key back into a fresh summary,
-// verifying the envelope checksums and the stored key. A missing index
+// verifying the record checksum and the stored key. A missing index
 // entry is an ordinary miss. A read the retries cannot absorb walks the
 // same rebuild-then-break ladder as store; an integrity failure is
 // confined to the one record — it is dropped (a lost hit) and the rest of
@@ -138,7 +144,10 @@ func (sp *memoSpill) load(key []byte) (*summary, bool) {
 	if !ok {
 		return nil, false
 	}
-	buf := make([]byte, ref.len)
+	if cap(sp.buf) < ref.len {
+		sp.buf = make([]byte, ref.len)
+	}
+	buf := sp.buf[:ref.len]
 	err := sp.policy().Do(context.Background(), func() error {
 		_, rerr := sp.f.ReadAt(buf, ref.off)
 		return rerr
@@ -206,11 +215,10 @@ func (sp *memoSpill) close() {
 
 // ---- record codec ----
 
-// encodeSummary renders a summary's aggregate fields (never the transient
+// appendSummary appends a summary's aggregate fields (never the transient
 // ref/spilled bookkeeping) as varints: height, nodes, leaves, len(acc),
 // acc values.
-func encodeSummary(sum *summary) []byte {
-	b := make([]byte, 0, 16+5*len(sum.acc))
+func appendSummary(b []byte, sum *summary) []byte {
 	b = binary.AppendVarint(b, int64(sum.height))
 	b = binary.AppendVarint(b, sum.nodes)
 	b = binary.AppendVarint(b, sum.leaves)
@@ -238,8 +246,8 @@ func decodeSummary(b []byte) (*summary, bool) {
 	}
 	b = b[n:]
 	cnt, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, false
+	if n <= 0 || cnt > uint64(len(b)-n) {
+		return nil, false // every counter takes at least one byte
 	}
 	b = b[n:]
 	if cnt > 0 {
@@ -256,24 +264,33 @@ func decodeSummary(b []byte) (*summary, bool) {
 	return sum, len(b) == 0
 }
 
-func encodeSpillRecord(key string, sum *summary) []byte {
-	hdr := base64.StdEncoding.AppendEncode(nil, []byte(key))
-	payload := base64.StdEncoding.AppendEncode(nil, encodeSummary(sum))
-	return envelope.Encode(spillMagic, spillKind, hdr, [][]byte{payload})
+// appendSpillRecord appends the record line of (key, sum) to b.
+func appendSpillRecord(b []byte, key string, sum *summary) []byte {
+	raw := binary.AppendUvarint(make([]byte, 0, 2*binary.MaxVarintLen64+len(key)+5*len(sum.acc)), uint64(len(key)))
+	raw = append(raw, key...)
+	raw = appendSummary(raw, sum)
+	payload := base64.StdEncoding.AppendEncode(nil, raw)
+	return envelope.AppendRecord(b, spillKind, payload)
 }
 
+// decodeSpillRecord decodes the record line block, stored under key. Any
+// corruption, and a record stored under another key, is a miss.
 func decodeSpillRecord(key, block []byte) (*summary, bool) {
-	hdr, recs, err := envelope.Decode(spillMagic, spillKind, block)
-	if err != nil || len(recs) != 1 {
-		return nil, false
-	}
-	gotKey, err := base64.StdEncoding.AppendDecode(nil, hdr)
-	if err != nil || string(gotKey) != string(key) {
-		return nil, false
-	}
-	raw, err := base64.StdEncoding.AppendDecode(nil, recs[0])
+	payload, err := envelope.DecodeRecord(spillKind, block)
 	if err != nil {
 		return nil, false
 	}
-	return decodeSummary(raw)
+	raw, err := base64.StdEncoding.AppendDecode(nil, payload)
+	if err != nil {
+		return nil, false
+	}
+	n, w := binary.Uvarint(raw)
+	if w <= 0 || n > uint64(len(raw)-w) {
+		return nil, false
+	}
+	raw = raw[w:]
+	if string(raw[:n]) != string(key) {
+		return nil, false
+	}
+	return decodeSummary(raw[n:])
 }

@@ -119,10 +119,10 @@ type WorkerHeartbeat struct {
 	Depth int `json:"depth"`
 	// SinceProgress is how long ago the worker last flushed node progress.
 	SinceProgress time.Duration `json:"since_progress_ns"`
-	// ConfigKey is the memo key (hex) of the configuration at the last
-	// flush, captured only when the stall watchdog is armed
-	// (Options.StallAfter): the same key the panic handler attaches, so a
-	// wedged spec can be replayed.
+	// ConfigKey is the segment bytes (hex) of the configuration at the
+	// last flush — its memo key with every segment id resolved — captured
+	// only when the stall watchdog is armed (Options.StallAfter): the same
+	// key the panic handler attaches, so a wedged spec can be replayed.
 	ConfigKey string `json:"config_key,omitempty"`
 }
 

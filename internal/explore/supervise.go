@@ -64,9 +64,10 @@ type StallError struct {
 	Mask      int   `json:"mask"`
 	Proposals []int `json:"proposals"`
 	// Depth and ConfigKey locate the worker's last flushed configuration.
-	// ConfigKey is that configuration's memo key in hex — the key the
-	// panic handler renders too — so the offending configuration can be
-	// identified across runs.
+	// ConfigKey is that configuration's segment bytes in hex — its memo
+	// key with every segment id resolved, the key the panic handler
+	// renders too — so the offending configuration can be identified
+	// across runs.
 	Depth     int    `json:"depth"`
 	ConfigKey string `json:"config_key,omitempty"`
 	// Idle is how long the worker had made no progress when flagged.

@@ -234,8 +234,19 @@ func canonicalImplementation(im *program.Implementation, k int) ([]byte, error) 
 // appendZoo keys the classification pipeline: the encoding of every zoo
 // entry (spec and each initial state), its literature numbers (they are
 // echoed into the report), and the classification bounds. A zoo change in
-// a new binary therefore misses old entries.
+// a new binary therefore misses old entries. The zoo ships with the
+// binary, so its encoding is tabulated once per process (zooKey).
 func appendZoo(b []byte) ([]byte, error) {
+	enc, err := zooKey()
+	return append(b, enc...), err
+}
+
+// zooKey is encodeZoo's result, computed on first use.
+var zooKey = sync.OnceValues(func() ([]byte, error) { return encodeZoo(nil) })
+
+// encodeZoo appends the zoo's encoding (appendZoo) to b, tabulating every
+// entry afresh.
+func encodeZoo(b []byte) ([]byte, error) {
 	entries := hierarchy.Zoo()
 	b = appendInt(b, int64(len(entries)))
 	for _, e := range entries {

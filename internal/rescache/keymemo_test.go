@@ -213,7 +213,8 @@ func warmShapes() []warmShape {
 // op. "fresh" builds a new implementation for every key, so each pays the
 // full tabulation (the library caller that rebuilds per Check); "shared"
 // reuses one implementation per shape, as the daemon's compiled-protocol
-// table does, so each is a memo hit.
+// table does, so each is a memo hit. "classification" keys the zoo, which
+// is tabulated once per process.
 func BenchmarkRequestKey(b *testing.B) {
 	shapes := warmShapes()
 	run := func(b *testing.B, implOf func(i int) *program.Implementation) {
@@ -236,6 +237,14 @@ func BenchmarkRequestKey(b *testing.B) {
 			shared[i] = build(b, sh.name, sh.procs)
 		}
 		run(b, func(i int) *program.Implementation { return shared[i] })
+	})
+	b.Run("classification", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := rescache.RequestKey(rescache.KeySpec{Kind: "classification"}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 

@@ -355,3 +355,21 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatal("oversized put evicted resident entries")
 	}
 }
+
+// TestZooKeyMemo pins the once-per-process zoo encoding to a fresh
+// tabulation, so the classification key cannot go stale inside a process.
+func TestZooKeyMemo(t *testing.T) {
+	fresh, err := encodeZoo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := appendZoo([]byte("p"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "p"+string(fresh) {
+			t.Fatalf("call %d: memoized zoo encoding differs from a fresh one", i)
+		}
+	}
+}

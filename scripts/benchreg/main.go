@@ -1,8 +1,9 @@
 // Command benchreg is the CI allocation-regression gate. It runs the
 // BenchmarkConsensus* suite, BenchmarkExplorerSticky6 (the explorer's
-// per-node cost on its largest routine workload) and
-// BenchmarkCheckCachedShared (a warm result-cache hit on a reused
-// implementation, the daemon's hit path) with -benchmem, compares
+// per-node cost on its largest routine workload), BenchmarkExplorerSpill
+// (the memo's disk-spill path) and BenchmarkCheckCachedShared (a warm
+// result-cache hit on a reused implementation, the daemon's hit path)
+// with -benchmem, compares
 // allocs/op per benchmark against a committed baseline JSON, fails (exit
 // 1) when any benchmark regresses by more than the threshold, and writes
 // the fresh numbers to -out so every CI run leaves a BENCH_*.json
@@ -54,7 +55,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "committed baseline to gate against")
 	outPath := flag.String("out", "", "write the fresh measurements to this file (e.g. BENCH_9.json)")
-	bench := flag.String("bench", "BenchmarkConsensus|BenchmarkExplorerSticky6|BenchmarkCheckCachedShared", "benchmark pattern to run")
+	bench := flag.String("bench", "BenchmarkConsensus|BenchmarkExplorerSticky6|BenchmarkExplorerSpill|BenchmarkCheckCachedShared", "benchmark pattern to run")
 	benchtime := flag.String("benchtime", "5x", "-benchtime passed to go test")
 	threshold := flag.Float64("threshold", 0.10, "maximum tolerated allocs/op regression (fraction)")
 	update := flag.Bool("update", false, "rewrite -baseline with the fresh measurements instead of gating")
